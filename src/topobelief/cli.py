@@ -30,6 +30,7 @@ from .fusion import (
     custom_allocator,
     justification_frame,
     mass_table,
+    value_cell,
 )
 from .topology import generate_topology, is_dense
 from .verify import run_all_checks
@@ -53,14 +54,6 @@ def _value_text(value: Fraction, precision: int, exact: bool) -> str:
     return str(value) if exact else render_decimal(value, precision)
 
 
-def _cell(value: Fraction, precision: int) -> dict:
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "rendered": render_decimal(value, precision),
-    }
-
-
 def _format_table(rows: list[list[str]], right: set[int]) -> str:
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     lines = []
@@ -71,10 +64,6 @@ def _format_table(rows: list[list[str]], right: set[int]) -> str:
         ]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def _load_frame(path: str) -> QuantitativeEvidenceFrame:
-    return load_frame(path)
 
 
 def _parse_allocators(spec: str, frame: QuantitativeEvidenceFrame) -> list[Allocator]:
@@ -159,7 +148,7 @@ def _parse_propositions(spec: str, frame: QuantitativeEvidenceFrame) -> list[Sta
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_topology(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = load_frame(args.frame)
     topo = generate_topology(frame.universe, frame.contents())
     if args.output == "json":
         doc = {
@@ -179,12 +168,13 @@ def cmd_topology(args) -> int:
 
 
 def cmd_mass(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = load_frame(args.frame)
     table = mass_table(frame)
     if args.output == "json":
         doc = {
             "rows": [
-                {"evidence": list(subset.members()), "mass": _cell(value, args.precision)}
+                {"evidence": list(subset.members()),
+                 "mass": value_cell(value, args.precision)}
                 for subset, value in table
             ]
         }
@@ -199,7 +189,7 @@ def cmd_mass(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = load_frame(args.frame)
     allocators = _parse_allocators(args.alloc, frame)
     table = mass_table(frame)
     labels = [a.label for a in allocators]
@@ -213,7 +203,7 @@ def cmd_allocate(args) -> int:
                         a.label: list(allocate(frame, a, subset).members())
                         for a in allocators
                     },
-                    "mass": _cell(value, args.precision),
+                    "mass": value_cell(value, args.precision),
                 }
                 for subset, value in table
             ],
@@ -249,7 +239,7 @@ def render_report(report, exact: bool = False) -> str:
 
 
 def cmd_believe(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = load_frame(args.frame)
     allocators = _parse_allocators(args.alloc, frame)
     justification = _parse_justification(args.justification, frame)
     propositions = _parse_propositions(args.props, frame)
@@ -263,7 +253,7 @@ def cmd_believe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    frame = _load_frame(args.frame)
+    frame = load_frame(args.frame)
     outcomes = run_all_checks(frame)
     failed = [o for o in outcomes if not o.passed]
     if args.output == "json":

@@ -108,21 +108,51 @@ class QuantitativeEvidenceFrame:
                 out.append((1 << k, sig))
         return tuple(out)
 
+    @cached_property
+    def neighborhood_bits(self) -> tuple[int, ...]:
+        """``neighborhoods`` as raw bits, indexed by state."""
+        return tuple(nb.bits for nb in self.neighborhoods)
+
+    @cached_property
+    def minimal_neighborhood_bits(self) -> tuple[int, ...]:
+        """The inclusion-minimal distinct neighborhoods, ascending. A set meets
+        every neighborhood iff it meets each of these."""
+        distinct = set(self.neighborhood_bits)
+        return tuple(sorted(
+            nb for nb in distinct
+            if not any(other != nb and other & ~nb == 0 for other in distinct)
+        ))
+
+    def open_bits(self, bits: int) -> bool:
+        """Openness of a raw bit set: it holds the neighborhood of each of its
+        states. Only the set bits are visited."""
+        nbs = self.neighborhood_bits
+        rest = bits
+        while rest:
+            low = rest & -rest
+            if nbs[low.bit_length() - 1] & ~bits:
+                return False
+            rest ^= low
+        return True
+
+    def dense_bits(self, bits: int) -> bool:
+        """Denseness of a raw bit set: it meets every minimal neighborhood."""
+        for nb in self.minimal_neighborhood_bits:
+            if not nb & bits:
+                return False
+        return True
+
     def is_open(self, s: StateSet) -> bool:
         """Membership in the evidential topology, without materialising it."""
         if s.universe != self.universe:
             raise UniverseMismatch("set lives in a different universe")
-        bits = s.bits
-        for k in range(self.universe.size):
-            if bits >> k & 1 and self.neighborhoods[k].bits & ~bits:
-                return False
-        return True
+        return self.open_bits(s.bits)
 
     def is_dense(self, s: StateSet) -> bool:
         """Denseness w.r.t. the evidential topology, via minimal neighborhoods."""
         if s.universe != self.universe:
             raise UniverseMismatch("set lives in a different universe")
-        return all(nb.bits & s.bits for nb in self.neighborhoods)
+        return self.dense_bits(s.bits)
 
 
 @dataclass(frozen=True)

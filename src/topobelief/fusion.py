@@ -12,9 +12,13 @@ Bridging layer: an allocation function maps each evidence subset to an open;
 its mass lands there, is renormalised over the justification frame, and
 belief in a proposition is the mass of the frame members inside it.
 
-Everything enumerates the power set of the evidence items, so arities above
-``MAX_ENUM_ITEMS`` are rejected up front with ``CapacityExceeded`` rather
-than silently hanging.
+Cost: the intersection, union and Yager aggregations fold the items in one
+at a time over a table keyed by the running intersection or union, so they
+take O(m x distinct images) for m items. The min-dense allocator, custom
+tables, and the per-subset listings (``mass_table``, ``allocate`` over every
+subset, ``validate_allocators``) enumerate all 2^m evidence subsets. Every
+path rejects arities above ``MAX_ENUM_ITEMS`` up front with
+``CapacityExceeded`` rather than silently hanging.
 """
 
 from __future__ import annotations
@@ -66,9 +70,18 @@ def evidence_mass(frame: QuantitativeEvidenceFrame, subset: EvidenceSubset) -> F
     return value
 
 
+def _common_denominator(frame: QuantitativeEvidenceFrame) -> int:
+    """The product of all certainty denominators: every merged mass is an
+    integer numerator over it."""
+    denominator = 1
+    for item in frame.items:
+        denominator *= item.certainty.denominator
+    return denominator
+
+
 @lru_cache(maxsize=64)
 def _half_tables(frame: QuantitativeEvidenceFrame):
-    """Meet-in-the-middle tables of (mass numerator, intersection, union).
+    """Meet-in-the-middle tables of (mass numerator, intersection).
 
     Masses are integer numerators over the common denominator (the product of
     all certainty denominators), which keeps the hot loop in machine-int land.
@@ -78,20 +91,18 @@ def _half_tables(frame: QuantitativeEvidenceFrame):
     full = frame.universe.full_bits
 
     def build(indices):
-        arr = [(1, full, 0)]
+        arr = [(1, full)]
         for i in indices:
             num = items[i].certainty.numerator
             den = items[i].certainty.denominator
             content = items[i].content.bits
-            arr = [(n * (den - num), it, un) for (n, it, un) in arr] + [
-                (n * num, it & content, un | content) for (n, it, un) in arr
+            arr = [(n * (den - num), it) for (n, it) in arr] + [
+                (n * num, it & content) for (n, it) in arr
             ]
         return arr
 
-    denominator = 1
-    for item in items:
-        denominator *= item.certainty.denominator
-    return build(range(half)), build(range(half, len(items))), half, denominator
+    return (build(range(half)), build(range(half, len(items))), half,
+            _common_denominator(frame))
 
 
 def mass_table(frame: QuantitativeEvidenceFrame) -> list[tuple[EvidenceSubset, Fraction]]:
@@ -204,28 +215,73 @@ def allocate(
     return min_dense(contents)
 
 
+# stands for the union of the empty family, whose image is S; 0 would clash
+# with a family whose contents are all empty
+_NO_UNION = -1
+
+
+def _fold_numerators(frame: QuantitativeEvidenceFrame, union: bool) -> dict[int, int]:
+    """Mass numerators per running intersection (or union) of the included
+    items, folding the items in one at a time. With certainty p/q, each item
+    splits every entry into excluded (numerator times q - p, same key) and
+    included (numerator times p, key met or joined with the item's content).
+    Entries with equal keys merge, so the cost is O(m x distinct images)
+    rather than 2^m."""
+    full = frame.universe.full_bits
+    acc = {_NO_UNION if union else full: 1}
+    for item in frame.items:
+        p = item.certainty.numerator
+        excluded = item.certainty.denominator - p
+        content = item.content.bits
+        grown = {key: num * excluded for key, num in acc.items()}
+        for key, num in acc.items():
+            if not union:
+                key &= content
+            elif key == _NO_UNION:
+                key = content
+            else:
+                key |= content
+            if key in grown:
+                grown[key] += num * p
+            else:
+                grown[key] = num * p
+        acc = grown
+    if union:
+        acc[full] = acc.get(full, 0) + acc.pop(_NO_UNION)
+    return acc
+
+
 @lru_cache(maxsize=256)
 def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
-    """Aggregate mass numerators per allocator image over all 2^m subsets."""
+    """Mass numerators gathered by each image, over the common denominator.
+
+    Returns ``(acc, den)`` with ``acc`` mapping image bits to numerators; an
+    image appears iff some evidence subset maps to it, even at zero mass.
+    Intersection and union fold the items in; Yager is the intersection table
+    with the mass on the empty set moved to S. Min-dense and custom tables
+    enumerate all 2^m subsets over the meet-in-the-middle half tables.
+    """
     _check_capacity(frame)
+    kind = allocator.kind
+    if kind is AllocatorKind.YAGER:
+        acc, den = _image_numerators(frame, INTERSECTION)
+        acc = dict(acc)
+        if 0 in acc:
+            acc[frame.universe.full_bits] += acc.pop(0)
+        return acc, den
+    if kind is AllocatorKind.INTERSECTION or kind is AllocatorKind.UNION:
+        return (_fold_numerators(frame, kind is AllocatorKind.UNION),
+                _common_denominator(frame))
     lo, hi, half, den = _half_tables(frame)
     lomask = (1 << half) - 1
-    full = frame.universe.full_bits
     sigpairs = frame.point_signatures
-    kind = allocator.kind
     table = allocator.table
     acc: dict[int, int] = {}
     for mask in range(1 << frame.arity):
-        numl, il, ul = lo[mask & lomask]
-        numh, ih, uh = hi[mask >> half]
+        numl, il = lo[mask & lomask]
+        numh, ih = hi[mask >> half]
         num = numl * numh
-        if kind is AllocatorKind.INTERSECTION:
-            image = il & ih
-        elif kind is AllocatorKind.UNION:
-            image = (ul | uh) if mask else full
-        elif kind is AllocatorKind.YAGER:
-            image = (il & ih) or full
-        elif kind is AllocatorKind.MIN_DENSE:
+        if kind is AllocatorKind.MIN_DENSE:
             image = (il & ih) or _min_dense_bits(sigpairs, mask)
         else:
             image = table[mask]
@@ -288,14 +344,23 @@ class JustificationFrame:
             return None
         return frozenset(s.bits for s in self.custom_members)
 
+    @cached_property
+    def _columns(self) -> dict:
+        """``_justified_column`` results over ``self.frame``, by allocator."""
+        return {}
+
+    def contains_bits(self, bits: int) -> bool:
+        """Membership of a raw bit set of the frame's universe."""
+        if self.kind is JustificationKind.CUSTOM:
+            return bits in self._member_bits
+        if self.kind is JustificationKind.DS:
+            return bits != 0 and self.frame.open_bits(bits)
+        return self.frame.dense_bits(bits) and self.frame.open_bits(bits)
+
     def contains(self, s: StateSet) -> bool:
         if s.universe != self.frame.universe:
             raise UniverseMismatch("set lives in a different universe")
-        if self.kind is JustificationKind.CUSTOM:
-            return s.bits in self._member_bits
-        if self.kind is JustificationKind.DS:
-            return s.bits != 0 and self.frame.is_open(s)
-        return self.frame.is_open(s) and self.frame.is_dense(s)
+        return self.contains_bits(s.bits)
 
     def members(self) -> tuple[StateSet, ...]:
         """Explicit member list; materialises the topology for ds/sd kinds."""
@@ -343,28 +408,43 @@ def justification_frame(
 
 # -- bridging layer: normalisation and belief ----------------------------------
 
+def _justified_column(
+    frame: QuantitativeEvidenceFrame,
+    allocator: Allocator,
+    justification: JustificationFrame,
+) -> tuple[dict[int, int], int]:
+    """``(kept, captured)``: the image numerators of the frame members, and
+    their total, the captured mass over the common denominator.
+
+    The captured mass is strictly positive for every valid frame: the full
+    space always belongs, and it gathers at least the all-items-uncertain
+    product, which is positive because certainties are strictly below 1.
+    Columns are kept on the justification frame when ``frame`` is its own.
+    """
+    columns = justification._columns if frame is justification.frame else {}
+    column = columns.get(allocator)
+    if column is None:
+        acc, _ = _image_numerators(frame, allocator)
+        contains_bits = justification.contains_bits
+        kept = {bits: num for bits, num in acc.items() if contains_bits(bits)}
+        captured = sum(kept.values())
+        if captured == 0:
+            raise TopobeliefError(
+                "justification frame captures no mass; belief is undefined"
+            )
+        column = columns[allocator] = (kept, captured)
+    return column
+
+
 def normalization_factor(
     frame: QuantitativeEvidenceFrame,
     allocator: Allocator,
     justification: JustificationFrame,
 ) -> Fraction:
-    """Mass captured by the justification frame; the divisor of the bpa.
-
-    Strictly positive for every valid frame: the full space always belongs,
-    and it gathers at least the all-items-uncertain product, which is positive
-    because certainties are strictly below 1.
-    """
-    acc, den = _image_numerators(frame, allocator)
-    universe = frame.universe
-    total = 0
-    for bits, num in acc.items():
-        if justification.contains(StateSet(universe, bits)):
-            total += num
-    if total == 0:
-        raise TopobeliefError(
-            "justification frame captures no mass; normalisation is undefined"
-        )
-    return Fraction(total, den)
+    """Mass captured by the justification frame; the divisor of the bpa."""
+    _, captured = _justified_column(frame, allocator, justification)
+    _, den = _image_numerators(frame, allocator)
+    return Fraction(captured, den)
 
 
 def justified_mass(
@@ -377,13 +457,8 @@ def justified_mass(
     zero outside the frame."""
     if target.universe != frame.universe:
         raise FrameMismatch("target set lives in a different universe")
-    if not justification.contains(target):
-        return Fraction(0)
-    acc, den = _image_numerators(frame, allocator)
-    num = acc.get(target.bits, 0)
-    if num == 0:
-        return Fraction(0)
-    return Fraction(num, den) / normalization_factor(frame, allocator, justification)
+    kept, captured = _justified_column(frame, allocator, justification)
+    return Fraction(kept.get(target.bits, 0), captured)
 
 
 def belief(
@@ -397,21 +472,14 @@ def belief(
     subsets)."""
     if proposition.universe != frame.universe:
         raise FrameMismatch("proposition lives in a different universe")
-    acc, den = _image_numerators(frame, allocator)
-    universe = frame.universe
-    inside = 0
-    captured = 0
-    for bits, num in acc.items():
-        if not justification.contains(StateSet(universe, bits)):
-            continue
-        captured += num
-        if bits & ~proposition.bits == 0:
-            inside += num
-    if captured == 0:
-        raise TopobeliefError(
-            "justification frame captures no mass; belief is undefined"
-        )
-    return Fraction(inside, captured)
+    kept, captured = _justified_column(frame, allocator, justification)
+    return Fraction(_numerator_inside(kept, proposition.bits), captured)
+
+
+def _numerator_inside(kept: dict[int, int], proposition_bits: int) -> int:
+    """Total numerator of the kept images that lie inside the proposition."""
+    outside = ~proposition_bits
+    return sum(num for bits, num in kept.items() if not bits & outside)
 
 
 # -- allocation-law validation -------------------------------------------------
@@ -501,6 +569,15 @@ def validate_allocators(
 
 # -- reports -------------------------------------------------------------------
 
+def value_cell(value: Fraction, precision: int) -> dict:
+    """JSON form of an exact value: numerator, denominator and its rendering."""
+    return {
+        "num": value.numerator,
+        "den": value.denominator,
+        "rendered": render_decimal(value, precision),
+    }
+
+
 @dataclass(frozen=True)
 class BeliefReport:
     """Belief matrix plus the normalisation factor and uncertainty per allocator."""
@@ -518,14 +595,8 @@ class BeliefReport:
         return tuple(a.label for a in self.allocators)
 
     def to_document(self) -> dict:
-        def cell(value: Fraction) -> dict:
-            return {
-                "num": value.numerator,
-                "den": value.denominator,
-                "rendered": render_decimal(value, self.precision),
-            }
-
         labels = self.allocator_labels()
+        precision = self.precision
         return {
             "justification": self.justification.kind.value,
             "allocators": list(labels),
@@ -533,17 +604,19 @@ class BeliefReport:
                 {
                     "proposition": list(p.members()),
                     "beliefs": {
-                        label: cell(self.beliefs[r][c])
+                        label: value_cell(self.beliefs[r][c], precision)
                         for c, label in enumerate(labels)
                     },
                 }
                 for r, p in enumerate(self.propositions)
             ],
             "uncertainty": {
-                label: cell(self.uncertainty[c]) for c, label in enumerate(labels)
+                label: value_cell(self.uncertainty[c], precision)
+                for c, label in enumerate(labels)
             },
             "normalization": {
-                label: cell(self.normalization[c]) for c, label in enumerate(labels)
+                label: value_cell(self.normalization[c], precision)
+                for c, label in enumerate(labels)
             },
         }
 
@@ -559,36 +632,21 @@ def belief_report(
     for p in propositions:
         if p.universe != frame.universe:
             raise FrameMismatch("proposition lives in a different universe")
-    universe = frame.universe
+    full = frame.universe.full_bits
     norm: list[Fraction] = []
     unc: list[Fraction] = []
-    columns: list[dict[int, int]] = []
-    dens: list[int] = []
+    columns: list[tuple[dict[int, int], int]] = []
     for a in allocators:
-        acc, den = _image_numerators(frame, a)
-        kept = {
-            bits: num
-            for bits, num in acc.items()
-            if justification.contains(StateSet(universe, bits))
-        }
-        captured = sum(kept.values())
-        if captured == 0:
-            raise TopobeliefError(
-                "justification frame captures no mass; belief is undefined"
-            )
+        kept, captured = _justified_column(frame, a, justification)
+        _, den = _image_numerators(frame, a)
         norm.append(Fraction(captured, den))
-        unc.append(Fraction(kept.get(universe.full_bits, 0), captured))
-        columns.append(kept)
-        dens.append(captured)
-    rows = []
-    for p in propositions:
-        row = []
-        for kept, captured in zip(columns, dens):
-            inside = sum(
-                num for bits, num in kept.items() if bits & ~p.bits == 0
-            )
-            row.append(Fraction(inside, captured))
-        rows.append(tuple(row))
+        unc.append(Fraction(kept.get(full, 0), captured))
+        columns.append((kept, captured))
+    rows = [
+        tuple(Fraction(_numerator_inside(kept, p.bits), captured)
+              for kept, captured in columns)
+        for p in propositions
+    ]
     return BeliefReport(
         frame=frame,
         justification=justification,

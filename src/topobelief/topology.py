@@ -165,17 +165,3 @@ def minimal_open_neighborhoods(
                 nb &= s.bits
         out.append(StateSet(universe, nb))
     return tuple(out)
-
-
-def open_in_generated(neighborhoods: Sequence[StateSet], s: StateSet) -> bool:
-    """Openness test against precomputed minimal neighborhoods."""
-    bits = s.bits
-    for k in range(s.universe.size):
-        if bits >> k & 1 and neighborhoods[k].bits & ~bits:
-            return False
-    return True
-
-
-def dense_in_generated(neighborhoods: Sequence[StateSet], s: StateSet) -> bool:
-    """Denseness test against precomputed minimal neighborhoods."""
-    return all(nb.bits & s.bits for nb in neighborhoods)

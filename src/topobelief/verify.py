@@ -266,22 +266,33 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     return outcomes
 
 
+def fixed_shape_frame(seed: int, states: int, items: int) -> QuantitativeEvidenceFrame:
+    """Deterministic random frame with exactly ``states`` states and ``items``
+    items, contents non-empty strict subsets, certainties with denominators
+    <= 32."""
+    return _draw_frame(random.Random(seed), states, items)
+
+
 def random_frame(
     seed: int, max_states: int = 6, max_items: int = 5
 ) -> QuantitativeEvidenceFrame:
     """Deterministic random frame: 2..max_states states, 1..max_items items,
-    contents non-empty strict subsets, certainties with denominators <= 32."""
+    otherwise drawn as in ``fixed_shape_frame``."""
     rng = random.Random(seed)
     n = rng.randint(2, max(2, max_states))
     m = rng.randint(1, max(1, max_items))
-    universe = make_universe([f"s{k}" for k in range(n)])
+    return _draw_frame(rng, n, m)
+
+
+def _draw_frame(rng: random.Random, states: int, items: int) -> QuantitativeEvidenceFrame:
+    universe = make_universe([f"s{k}" for k in range(states)])
     full = universe.full_bits
-    items = []
-    for i in range(m):
+    drawn = []
+    for i in range(items):
         bits = rng.randrange(1, full)  # excludes 0 and the full set
         den = rng.randint(2, _MAX_CERTAINTY_DENOMINATOR)
         num = rng.randint(1, den - 1)
-        items.append(
+        drawn.append(
             EvidenceItem(f"E{i + 1}", StateSet(universe, bits), Fraction(num, den))
         )
-    return QuantitativeEvidenceFrame(universe, tuple(items))
+    return QuantitativeEvidenceFrame(universe, tuple(drawn))

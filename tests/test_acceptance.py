@@ -21,10 +21,10 @@ from pathlib import Path
 import pytest
 
 import topobelief.cli as cli
-from topobelief.core import StateSet, make_universe, render_decimal
+from topobelief.core import StateSet, render_decimal
 from topobelief.demo import car_frame
 from topobelief.dst import belief_from_bpa, combine_evidence, topological_belief
-from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame, serialize_frame
+from topobelief.evidence import serialize_frame
 from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
@@ -42,6 +42,7 @@ from topobelief.topology import generate_topology
 from topobelief.verify import (
     check_belief_axioms,
     check_bpa_axioms,
+    fixed_shape_frame,
     justified_bpa,
     random_frame,
 )
@@ -360,23 +361,8 @@ def test_criterion_09_no_normalization(corpus):
     assert not failures, failures[:3]
 
 
-def _perf_frame(states: int, items: int, seed: int = 7) -> QuantitativeEvidenceFrame:
-    import random
-
-    rng = random.Random(seed)
-    universe = make_universe([f"s{k}" for k in range(states)])
-    built = []
-    for i in range(items):
-        bits = rng.randrange(1, universe.full_bits)
-        den = rng.randint(2, 32)
-        num = rng.randint(1, den - 1)
-        built.append(EvidenceItem(f"E{i + 1}", StateSet(universe, bits),
-                                  Fraction(num, den)))
-    return QuantitativeEvidenceFrame(universe, tuple(built))
-
-
 def test_criterion_10_capacity_and_performance(tmp_path, capsys):
-    frame = _perf_frame(16, 15)
+    frame = fixed_shape_frame(7, 16, 15)
     path = tmp_path / "wide15.json"
     path.write_text(serialize_frame(frame), encoding="utf-8")
     start = time.perf_counter()
@@ -387,7 +373,7 @@ def test_criterion_10_capacity_and_performance(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
 
-    big = _perf_frame(16, 25)
+    big = fixed_shape_frame(7, 16, 25)
     big_path = tmp_path / "wide25.json"
     big_path.write_text(serialize_frame(big), encoding="utf-8")
     start = time.perf_counter()

@@ -16,6 +16,7 @@ from topobelief.errors import (
 )
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import (
+    _image_numerators,
     INTERSECTION,
     MIN_DENSE,
     UNION,
@@ -33,7 +34,8 @@ from topobelief.fusion import (
     normalization_factor,
     validate_allocators,
 )
-from topobelief.verify import random_frame
+from topobelief.topology import generate_topology, is_dense
+from topobelief.verify import fixed_shape_frame, random_frame
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
@@ -314,6 +316,58 @@ def test_allocated_mass_is_mass_function(seed):
         table = allocated_mass_table(frame, alloc)
         assert sum(table.values()) == 1
         assert all(0 <= v <= 1 for v in table.values())
+
+
+def _per_subset_numerators(frame, allocators):
+    """Reference aggregation: merged mass of every evidence subset, summed
+    per ``allocate`` image, one table per allocator."""
+    tables = [{} for _ in allocators]
+    for subset in frame.all_subsets():
+        mass = evidence_mass(frame, subset)
+        for table, alloc in zip(tables, allocators):
+            bits = allocate(frame, alloc, subset).bits
+            table[bits] = table.get(bits, 0) + mass
+    return tables
+
+
+def _frame_with_empty_item():
+    """Built in code, past validation: the union of {E1} alone is empty, not
+    the full space that the empty family maps to."""
+    u = make_universe(["a", "b", "c"])
+    items = (
+        EvidenceItem("E1", u.empty_set(), Fraction(1, 3)),
+        EvidenceItem("E2", u.subset(["a"]), Fraction(2, 5)),
+        EvidenceItem("E3", u.subset(["a", "b"]), Fraction(3, 4)),
+    )
+    return QuantitativeEvidenceFrame(u, items)
+
+
+def test_folded_numerators_equal_per_subset_reference():
+    frames = [random_frame(seed, 8, 10) for seed in range(200)]
+    frames.append(fixed_shape_frame(0, 16, 12))
+    frames.append(_frame_with_empty_item())
+    allocators = (INTERSECTION, UNION, YAGER)
+    for frame in frames:
+        references = _per_subset_numerators(frame, allocators)
+        for alloc, reference in zip(allocators, references):
+            acc, den = _image_numerators(frame, alloc)
+            got = {bits: Fraction(num, den) for bits, num in acc.items()}
+            assert got == reference, (frame, alloc.label)
+
+
+def test_contains_matches_materialised_topology():
+    for seed in range(60):
+        frame = random_frame(seed)
+        u = frame.universe
+        topo = generate_topology(u, frame.contents())
+        opens = {o.bits for o in topo.opens}
+        ds = justification_frame(frame, "ds")
+        sd = justification_frame(frame, "sd")
+        for bits in range(1 << u.size):
+            s = StateSet(u, bits)
+            in_topology = bits in opens
+            assert ds.contains(s) == (in_topology and bits != 0), (seed, s)
+            assert sd.contains(s) == (in_topology and is_dense(s, topo)), (seed, s)
 
 
 # -- normalization, justified mass, belief -------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,16 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from topobelief.core import StateSet, make_universe
 from topobelief.errors import EmptyEvidenceList, UniverseMismatch
+from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.topology import (
     Topology,
     arguments_for,
-    dense_in_generated,
     generate_topology,
     is_dense,
     maximal_fip_families,
     min_dense,
-    minimal_open_neighborhoods,
-    open_in_generated,
     supports,
 )
 
@@ -271,7 +270,9 @@ def test_min_dense_is_minimum_of_dense_opens(pair):
 def test_neighborhood_predicates_match_explicit_topology(pair, raw):
     u, sets = pair
     topo = generate_topology(u, sets)
-    nbhd = minimal_open_neighborhoods(u, sets)
+    frame = QuantitativeEvidenceFrame(u, tuple(
+        EvidenceItem(f"E{i}", e, Fraction(1, 2)) for i, e in enumerate(sets)
+    ))
     s = StateSet(u, raw % (u.full_bits + 1))
-    assert open_in_generated(nbhd, s) == (s in topo)
-    assert dense_in_generated(nbhd, s) == is_dense(s, topo)
+    assert frame.is_open(s) == (s in topo)
+    assert frame.is_dense(s) == is_dense(s, topo)
