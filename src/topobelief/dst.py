@@ -1,15 +1,22 @@
 """Classical belief-function machinery and the qualitative belief operator.
 
-These are deliberately independent of the fusion pipeline: combination works
-directly on basic probability assignments, and the qualitative operator works
-directly on the evidence sets. The test suite uses both as oracles against
-the pipeline.
+These are deliberately independent of the fusion pipeline (nothing here
+imports ``fusion``): combination works directly on basic probability
+assignments, and the qualitative operator works directly on the evidence
+sets. The test suite uses both as oracles against the pipeline.
+
+``combine_evidence`` applies Dempster's rule to the simple supports of a
+frame as the unnormalised conjunctive rule followed by one renormalisation:
+it folds integer weights keyed by state bits and divides by their total once,
+at the end. ``dempster_combine`` is the literal pairwise rule, renormalising
+after every product, and the tests hold the fold to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .core import StateSet, StateUniverse, canonical_key
@@ -26,7 +33,6 @@ class BasicProbabilityAssignment:
     focal: Mapping[StateSet, Fraction]
 
     def __post_init__(self) -> None:
-        total = Fraction(0)
         for s, v in self.focal.items():
             if s.universe != self.universe:
                 raise UniverseMismatch("focal set lives in a different universe")
@@ -34,7 +40,7 @@ class BasicProbabilityAssignment:
                 raise ValueError("a basic probability assignment is zero on the empty set")
             if not 0 < v <= 1:
                 raise ValueError(f"focal mass {v} outside (0, 1]")
-            total += v
+        total = _exact_sum(self.focal.values())
         if total != 1:
             raise ValueError(f"focal masses total {total}, not 1")
         object.__setattr__(self, "focal", dict(self.focal))
@@ -48,6 +54,13 @@ class BasicProbabilityAssignment:
 
     def focal_sets(self) -> tuple[StateSet, ...]:
         return tuple(sorted(self.focal, key=canonical_key))
+
+
+def _exact_sum(values) -> Fraction:
+    """Sum of fractions as one integer sum over the lcm of their denominators."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def simple_support(
@@ -91,23 +104,44 @@ def dempster_combine(
 
 
 def combine_evidence(frame: QuantitativeEvidenceFrame) -> BasicProbabilityAssignment:
-    """Fold the simple support functions of a frame, left to right in item
-    order (combination is associative, so the order is cosmetic)."""
-    out = BasicProbabilityAssignment.vacuous(frame.universe)
+    """Dempster's combination of the simple supports of a frame, in item order.
+
+    Each support's masses are scaled to integers over the lcm of their
+    denominators, and the conjunctive products are folded into weights keyed
+    by the raw bits of the intersection. Empty intersections are dropped as
+    they appear, since the empty set absorbs every later product; the
+    survivors are renormalised once, by their total. Raises ``TotalConflict``
+    at the first item after which no non-empty product is left.
+    """
+    universe = frame.universe
+    weights = {universe.full_bits: 1}
     for i in range(frame.arity):
-        out = dempster_combine(out, simple_support(frame, i))
-    return out
+        focal = simple_support(frame, i).focal
+        den = lcm(*(v.denominator for v in focal.values()))
+        scaled = [(s.bits, v.numerator * (den // v.denominator))
+                  for s, v in focal.items()]
+        grown: dict[int, int] = {}
+        for key, w in weights.items():
+            for bits, x in scaled:
+                meet = key & bits
+                if meet:
+                    grown[meet] = grown.get(meet, 0) + w * x
+        if not grown:
+            raise TotalConflict("all product mass falls on disjoint focal pairs")
+        weights = grown
+    total = sum(weights.values())
+    return BasicProbabilityAssignment(
+        universe,
+        {StateSet(universe, bits): Fraction(w, total) for bits, w in weights.items()},
+    )
 
 
 def belief_from_bpa(m: BasicProbabilityAssignment, proposition: StateSet) -> Fraction:
     """Total focal mass inside the proposition."""
     if proposition.universe != m.universe:
         raise UniverseMismatch("proposition lives in a different universe")
-    total = Fraction(0)
-    for s, v in m.focal.items():
-        if s.bits & ~proposition.bits == 0:
-            total += v
-    return total
+    outside = ~proposition.bits
+    return _exact_sum(v for s, v in m.focal.items() if not s.bits & outside)
 
 
 def topological_belief(frame: QuantitativeEvidenceFrame, proposition: StateSet) -> bool:

@@ -47,12 +47,22 @@ from .topology import generate_topology, min_dense
 MAX_ENUM_ITEMS = 24
 
 
-def _check_capacity(frame: QuantitativeEvidenceFrame) -> None:
-    if frame.arity > MAX_ENUM_ITEMS:
+def _check_capacity(
+    frame: QuantitativeEvidenceFrame, allocator: Allocator | None = None
+) -> None:
+    """Reject more than ``MAX_ENUM_ITEMS`` items. Only the paths that
+    enumerate every evidence subset (``d``, custom tables, and the per-subset
+    listings, which pass no allocator) are told they need 2^m evaluations."""
+    m = frame.arity
+    if m <= MAX_ENUM_ITEMS:
+        return
+    if allocator is None or allocator.kind in (AllocatorKind.MIN_DENSE,
+                                               AllocatorKind.CUSTOM):
         raise CapacityExceeded(
-            f"{frame.arity} evidence items need 2^{frame.arity} subset "
-            f"evaluations; the cap is {MAX_ENUM_ITEMS} items"
+            f"{m} evidence items need 2^{m} subset evaluations; "
+            f"the cap is {MAX_ENUM_ITEMS} items"
         )
+    raise CapacityExceeded(f"{m} evidence items exceed the cap of {MAX_ENUM_ITEMS} items")
 
 
 # -- quantitative layer -------------------------------------------------------
@@ -261,7 +271,7 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     with the mass on the empty set moved to S. Min-dense and custom tables
     enumerate all 2^m subsets over the meet-in-the-middle half tables.
     """
-    _check_capacity(frame)
+    _check_capacity(frame, allocator)
     kind = allocator.kind
     if kind is AllocatorKind.YAGER:
         acc, den = _image_numerators(frame, INTERSECTION)
@@ -416,17 +426,31 @@ def _justified_column(
     """``(kept, captured)``: the image numerators of the frame members, and
     their total, the captured mass over the common denominator.
 
+    Every builtin image is open in the evidential topology (allocation law 2),
+    so under ``ds`` and ``sd`` a builtin column over the justification frame's
+    own evidence frame skips the openness test: ``ds`` keeps the non-empty
+    images and ``sd`` the dense ones. Custom allocators, custom frames and
+    columns over any other evidence frame test membership with
+    ``JustificationFrame.contains_bits``.
+
     The captured mass is strictly positive for every valid frame: the full
     space always belongs, and it gathers at least the all-items-uncertain
     product, which is positive because certainties are strictly below 1.
     Columns are kept on the justification frame when ``frame`` is its own.
     """
-    columns = justification._columns if frame is justification.frame else {}
+    own = frame is justification.frame
+    columns = justification._columns if own else {}
     column = columns.get(allocator)
     if column is None:
         acc, _ = _image_numerators(frame, allocator)
-        contains_bits = justification.contains_bits
-        kept = {bits: num for bits, num in acc.items() if contains_bits(bits)}
+        if (not own or allocator.kind is AllocatorKind.CUSTOM
+                or justification.kind is JustificationKind.CUSTOM):
+            keep = justification.contains_bits
+        elif justification.kind is JustificationKind.DS:
+            keep = bool  # builtin images are open: keep the non-empty ones
+        else:
+            keep = frame.dense_bits
+        kept = {bits: num for bits, num in acc.items() if keep(bits)}
         captured = sum(kept.values())
         if captured == 0:
             raise TopobeliefError(

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
+import functools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topobelief
 from topobelief.core import StateSet, make_universe
 from topobelief.dst import (
     BasicProbabilityAssignment,
@@ -15,8 +19,9 @@ from topobelief.dst import (
     topological_belief,
 )
 from topobelief.errors import IndexOutOfRange, TotalConflict, UniverseMismatch
+from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import INTERSECTION, MIN_DENSE, belief, justification_frame
-from topobelief.verify import random_frame
+from topobelief.verify import fixed_shape_frame, random_frame
 
 
 def test_simple_support_car(car):
@@ -153,6 +158,60 @@ def test_combined_car_belief(car):
     assert belief_from_bpa(combined, p1) == Fraction(477, 530)
     assert belief_from_bpa(combined, car.universe.full_set()) == 1
     assert belief_from_bpa(combined, car.universe.empty_set()) == 0
+
+
+def _pairwise_combination(frame):
+    """The literal reference: Dempster's pairwise rule folded over the items."""
+    supports = [simple_support(frame, i) for i in range(frame.arity)]
+    vacuous = BasicProbabilityAssignment.vacuous(frame.universe)
+    return functools.reduce(dempster_combine, supports, vacuous)
+
+
+def test_combine_evidence_equals_pairwise_rule(car):
+    frames = [random_frame(seed, 8, 10) for seed in range(500)]
+    frames += [fixed_shape_frame(seed, states, 14) for seed in range(3) for states in (16, 32)]
+    frames.append(car)
+    for frame in frames:
+        assert combine_evidence(frame).focal == _pairwise_combination(frame).focal, frame
+
+
+@pytest.mark.parametrize("content", ["empty", "full"])
+def test_combine_evidence_rejects_invalid_items_like_pairwise_rule(content):
+    u = make_universe(["a", "b", "c"])
+    odd = u.empty_set() if content == "empty" else u.full_set()
+    frame = QuantitativeEvidenceFrame(u, (
+        EvidenceItem("E1", u.subset(["a", "b"]), Fraction(1, 2)),
+        EvidenceItem("E2", odd, Fraction(2, 3)),
+    ))
+    with pytest.raises(ValueError) as folded:
+        combine_evidence(frame)
+    with pytest.raises(ValueError) as pairwise:
+        _pairwise_combination(frame)
+    assert type(folded.value) is type(pairwise.value)
+    assert str(folded.value) == str(pairwise.value)
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Package modules that ``module`` imports, directly or through others."""
+    package = Path(topobelief.__file__).parent
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                todo.append(node.module)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("topobelief."):
+                todo.append(node.module.split(".", 1)[1])
+    return seen - {module}
+
+
+def test_dst_oracle_does_not_import_fusion():
+    assert "fusion" not in _imported_modules("dst")
 
 
 def test_topological_belief_car(car):

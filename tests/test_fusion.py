@@ -17,6 +17,7 @@ from topobelief.errors import (
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import (
     _image_numerators,
+    _justified_column,
     INTERSECTION,
     MIN_DENSE,
     UNION,
@@ -370,6 +371,52 @@ def test_contains_matches_materialised_topology():
             assert sd.contains(s) == (in_topology and is_dense(s, topo)), (seed, s)
 
 
+BUILTINS = (INTERSECTION, UNION, YAGER, MIN_DENSE)
+
+
+def _column_corpus():
+    return [random_frame(seed, 8, 10) for seed in range(200)] + [_frame_with_empty_item()]
+
+
+def test_builtin_images_are_open():
+    # _justified_column skips the openness test for builtin allocators on
+    # this invariant (allocation law 2)
+    for frame in _column_corpus():
+        for alloc in BUILTINS:
+            acc, _ = _image_numerators(frame, alloc)
+            for bits in acc:
+                assert frame.open_bits(bits), (frame, alloc.label, bits)
+
+
+@pytest.mark.parametrize("kind", ["ds", "sd"])
+def test_builtin_column_equals_contains_filter(kind):
+    for frame in _column_corpus():
+        justification = justification_frame(frame, kind)
+        for alloc in BUILTINS:
+            acc, _ = _image_numerators(frame, alloc)
+            expected = {b: n for b, n in acc.items() if justification.contains_bits(b)}
+            kept, captured = _justified_column(frame, alloc, justification)
+            assert kept == expected, (frame, alloc.label)
+            assert captured == sum(expected.values())
+
+
+@pytest.mark.parametrize("kind", ["ds", "sd"])
+def test_column_over_another_frame_tests_openness(kind):
+    u = make_universe(["a", "b", "c"])
+    own = QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.subset(["a"]), Fraction(1, 2)),))
+    other = QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.subset(["b"]), Fraction(1, 2)),))
+    justification = justification_frame(own, kind)
+    # {b} is an image of `other`, but not open in the topology of `own`
+    b = u.subset(["b"]).bits
+    assert not own.open_bits(b)
+    for alloc in BUILTINS:
+        acc, _ = _image_numerators(other, alloc)
+        assert b in acc
+        kept, _ = _justified_column(other, alloc, justification)
+        assert kept == {bits: n for bits, n in acc.items() if justification.contains_bits(bits)}
+        assert b not in kept
+
+
 # -- normalization, justified mass, belief -------------------------------------------
 
 def test_normalization_factor_car(car):
@@ -546,3 +593,15 @@ def test_capacity_cap_rejects_25_items(car):
         )
     with pytest.raises(CapacityExceeded):
         validate_allocators(frame, [INTERSECTION])
+
+
+def test_capacity_message_names_subset_evaluations_only_where_they_happen():
+    frame = _wide_frame(25)
+    for alloc in (INTERSECTION, UNION, YAGER):
+        with pytest.raises(CapacityExceeded, match="cap") as exc:
+            allocated_mass_table(frame, alloc)
+        assert "2^25" not in str(exc.value)
+    with pytest.raises(CapacityExceeded, match=r"2\^25 subset evaluations"):
+        allocated_mass_table(frame, MIN_DENSE)
+    with pytest.raises(CapacityExceeded, match=r"2\^25 subset evaluations"):
+        mass_table(frame)
