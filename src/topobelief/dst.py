@@ -9,13 +9,16 @@ sets. The test suite uses both as oracles against the pipeline.
 frame as the unnormalised conjunctive rule followed by one renormalisation:
 it folds integer weights keyed by state bits and divides by their total once,
 at the end. ``dempster_combine`` is the literal pairwise rule, renormalising
-after every product, and the tests hold the fold to it.
+after every product, and the tests hold the fold to it. A bpa also keeps its
+masses as integer weights over one denominator, so ``belief_from_bpa`` is one
+integer sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping
 
@@ -40,10 +43,19 @@ class BasicProbabilityAssignment:
                 raise ValueError("a basic probability assignment is zero on the empty set")
             if not 0 < v <= 1:
                 raise ValueError(f"focal mass {v} outside (0, 1]")
-        total = _exact_sum(self.focal.values())
-        if total != 1:
-            raise ValueError(f"focal masses total {total}, not 1")
+        weights, den = self._weights
+        total = sum(w for _, w in weights)
+        if total != den:
+            raise ValueError(f"focal masses total {Fraction(total, den)}, not 1")
         object.__setattr__(self, "focal", dict(self.focal))
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``(weights, den)``: each focal set's bits with its mass as an integer
+        over ``den``, the lcm of the mass denominators."""
+        den = lcm(*(v.denominator for v in self.focal.values()))
+        return tuple((s.bits, v.numerator * (den // v.denominator))
+                     for s, v in self.focal.items()), den
 
     @classmethod
     def vacuous(cls, universe: StateUniverse) -> "BasicProbabilityAssignment":
@@ -54,13 +66,6 @@ class BasicProbabilityAssignment:
 
     def focal_sets(self) -> tuple[StateSet, ...]:
         return tuple(sorted(self.focal, key=canonical_key))
-
-
-def _exact_sum(values) -> Fraction:
-    """Sum of fractions as one integer sum over the lcm of their denominators."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def simple_support(
@@ -141,7 +146,8 @@ def belief_from_bpa(m: BasicProbabilityAssignment, proposition: StateSet) -> Fra
     if proposition.universe != m.universe:
         raise UniverseMismatch("proposition lives in a different universe")
     outside = ~proposition.bits
-    return _exact_sum(v for s, v in m.focal.items() if not s.bits & outside)
+    weights, den = m._weights
+    return Fraction(sum(w for bits, w in weights if not bits & outside), den)
 
 
 def topological_belief(frame: QuantitativeEvidenceFrame, proposition: StateSet) -> bool:

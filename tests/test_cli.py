@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import topobelief.cli as cli
 from topobelief.demo import car_frame
 from topobelief.evidence import serialize_frame
-from topobelief.verify import CheckOutcome
+from topobelief.verify import CheckOutcome, fixed_shape_frame
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -223,6 +224,19 @@ def test_capacity_exceeded_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "believe", "--frame", str(path), "--props", "a")
     assert code == 3
     assert "cap" in err
+
+
+def test_min_dense_believe_on_twenty_items_is_bounded(capsys, tmp_path):
+    # 2^20 evidence families: a loop over them one by one would take tens
+    # of seconds, while the signature planes answer well under a second
+    path = tmp_path / "wide20.json"
+    path.write_text(serialize_frame(fixed_shape_frame(7, 16, 20)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "believe", "--frame", str(path), "--alloc", "d",
+                       "--justification", "sd", "--props", "s0,s1,s2;s3")
+    assert code == 0
+    assert time.perf_counter() - start < 5.0
+    assert out
 
 
 def test_verify_passes_on_car(capsys, car_path):

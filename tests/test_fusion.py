@@ -13,6 +13,7 @@ from topobelief.errors import (
     CustomFrameNotOpen,
     FrameMismatch,
     MalformedDocument,
+    TopobeliefError,
 )
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import (
@@ -354,6 +355,100 @@ def test_folded_numerators_equal_per_subset_reference():
             acc, den = _image_numerators(frame, alloc)
             got = {bits: Fraction(num, den) for bits, num in acc.items()}
             assert got == reference, (frame, alloc.label)
+
+
+def _maximal_signature_image(frame, mask):
+    """The literal min-dense rule for one family: the intersection if it is
+    non-empty, else the states whose evidence signature restricted to the
+    family is non-empty and maximal."""
+    if mask == 0:
+        return frame.universe.full_bits
+    groups = {}
+    for point, sig in frame.point_signatures:
+        restricted = sig & mask
+        if restricted:
+            groups[restricted] = groups.get(restricted, 0) | point
+    out = 0
+    for sig, points in groups.items():
+        if not any(sig != other and sig & other == sig for other in groups):
+            out |= points
+    return out
+
+
+def _frames_with_certain_item():
+    """Built in code: a certainty-1 item leaves zero mass on every family
+    without it, the empty family included. In the second frame all the mass
+    falls on an empty image, so no justification frame captures any."""
+    u = make_universe(["a", "b", "c"])
+    items = (
+        EvidenceItem("E1", u.subset(["a"]), Fraction(1)),
+        EvidenceItem("E2", u.subset(["b"]), Fraction(2, 5)),
+        EvidenceItem("E3", u.subset(["b", "c"]), Fraction(1, 5)),
+    )
+    return [QuantitativeEvidenceFrame(u, items),
+            QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.empty_set(), Fraction(1)),))]
+
+
+def _one_state_frame():
+    u = make_universe(["a"])
+    return QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.full_set(), Fraction(1, 2)),))
+
+
+def _min_dense_corpus():
+    return (
+        [random_frame(seed, 8, 10) for seed in range(300)]
+        + [fixed_shape_frame(7, 16, 12), _frame_with_empty_item(), _one_state_frame()]
+        + _frames_with_certain_item()
+    )
+
+
+def test_min_dense_images_equal_per_subset_reference():
+    for frame in _min_dense_corpus():
+        reference = {}
+        for subset in frame.all_subsets():
+            bits = allocate(frame, MIN_DENSE, subset).bits
+            assert bits == _maximal_signature_image(frame, subset.mask), (frame, subset)
+            reference[bits] = reference.get(bits, 0) + evidence_mass(frame, subset)
+        acc, den = _image_numerators(frame, MIN_DENSE)
+        assert {bits: Fraction(num, den) for bits, num in acc.items()} == reference, frame
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except TopobeliefError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["ds", "sd"])
+def test_min_dense_report_equals_belief_calls(kind):
+    # belief_report reads the d column straight from the signature planes;
+    # belief, normalization_factor and justified_mass read the image table
+    for n, frame in enumerate(_min_dense_corpus()):
+        u = frame.universe
+        step = max(1, u.full_bits // 9)
+        props = [StateSet(u, bits) for bits in range(0, u.full_bits + 1, step)]
+        props.append(u.full_set())
+
+        def from_report():
+            report = belief_report(frame, [MIN_DENSE], justification_frame(frame, kind), props)
+            return ([row[0] for row in report.beliefs], report.normalization[0],
+                    report.uncertainty[0])
+
+        def from_calls():
+            jf = justification_frame(frame, kind)
+            return ([belief(frame, MIN_DENSE, jf, p) for p in props],
+                    normalization_factor(frame, MIN_DENSE, jf),
+                    justified_mass(frame, MIN_DENSE, jf, u.full_set()))
+
+        assert _outcome(from_report) == _outcome(from_calls), n
+
+
+@pytest.mark.parametrize("kind", ["ds", "sd"])
+def test_min_dense_report_raises_when_nothing_is_captured(kind):
+    frame = _frames_with_certain_item()[1]
+    with pytest.raises(TopobeliefError, match="captures no mass"):
+        belief_report(frame, [MIN_DENSE], justification_frame(frame, kind), [])
 
 
 def test_contains_matches_materialised_topology():
