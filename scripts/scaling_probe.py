@@ -5,9 +5,11 @@ Each allocator is timed on its own line. ``i`` and ``u`` fold the items in
 one at a time, so their cost follows the number of distinct images. ``d``
 works on bit planes over all 2^m evidence families, about (distinct
 signatures)^2 operations on 2^m-bit ints, so each extra item still doubles
-its cost, but in word-parallel steps; its lines from 18 to 24 items also
-give the peak resident memory of the process so far. The last line checks
-that the capacity cap turns 25 items into a clean error for ``d``.
+its cost, but in word-parallel steps. One ``belief(d, sd, P)`` call and a
+``d`` report under the custom frame ``[S]`` read the same planes, and are
+timed at 14, 16 and 18 items. The ``d`` lines from 18 to 24 items also give
+the peak resident memory of the process so far. The last line checks that
+the capacity cap turns 25 items into a clean error for ``d``.
 """
 
 from __future__ import annotations
@@ -21,16 +23,27 @@ from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
     UNION,
+    belief,
     belief_report,
     justification_frame,
 )
 from topobelief.verify import fixed_shape_frame
 
 
-def _time_report(frame, alloc) -> float:
-    props = [frame.universe.subset(["s0", "s1", "s2"])]
+def _proposition(frame):
+    return frame.universe.subset(["s0", "s1", "s2"])
+
+
+def _time_report(frame, alloc, kind="sd", members=None) -> float:
     start = time.perf_counter()
-    belief_report(frame, [alloc], justification_frame(frame, "sd"), props)
+    justification = justification_frame(frame, kind, members)
+    belief_report(frame, [alloc], justification, [_proposition(frame)])
+    return time.perf_counter() - start
+
+
+def _time_belief(frame) -> float:
+    start = time.perf_counter()
+    belief(frame, MIN_DENSE, justification_frame(frame, "sd"), _proposition(frame))
     return time.perf_counter() - start
 
 
@@ -40,6 +53,13 @@ def main() -> int:
         frame = fixed_shape_frame(0, states, items)
         for alloc in (INTERSECTION, UNION, MIN_DENSE):
             print(f"items={items:2d}  {alloc.label}  {_time_report(frame, alloc):7.3f}s")
+
+    for items in (14, 16, 18):
+        seconds = _time_belief(fixed_shape_frame(0, states, items))
+        print(f"items={items:2d}  belief(d, sd, P)  {seconds:7.3f}s")
+        frame = fixed_shape_frame(0, states, items)
+        seconds = _time_report(frame, MIN_DENSE, "custom", [frame.universe.full_set()])
+        print(f"items={items:2d}  d under custom [S]  {seconds:7.3f}s")
 
     for items in (18, 20, 22, 24):
         seconds = _time_report(fixed_shape_frame(0, states, items), MIN_DENSE)

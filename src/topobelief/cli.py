@@ -85,13 +85,17 @@ def _parse_allocators(spec: str, frame: QuantitativeEvidenceFrame) -> list[Alloc
     return out
 
 
-def _load_allocator_table(path: str, frame: QuantitativeEvidenceFrame) -> Allocator:
+def _read_json(path: str, what: str):
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise MalformedDocument(f"cannot read allocator table: {exc}") from None
+        raise MalformedDocument(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"allocator table is not valid JSON: {exc}") from None
+        raise MalformedDocument(f"{what} is not valid JSON: {exc}") from None
+
+
+def _load_allocator_table(path: str, frame: QuantitativeEvidenceFrame) -> Allocator:
+    obj = _read_json(path, "allocator table")
     if not isinstance(obj, dict) or set(obj) != {"map"} or not isinstance(obj["map"], list):
         raise MalformedDocument('allocator table must be {"map": [...]}')
     mapping = {}
@@ -115,14 +119,7 @@ def _parse_justification(selector: str, frame: QuantitativeEvidenceFrame):
         return justification_frame(frame, selector)
     if selector.startswith("custom:"):
         path = selector[len("custom:"):]
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise MalformedDocument(f"cannot read justification frame: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(
-                f"justification frame is not valid JSON: {exc}"
-            ) from None
+        obj = _read_json(path, "justification frame")
         if (
             not isinstance(obj, dict)
             or set(obj) != {"opens"}

@@ -121,10 +121,7 @@ def combine_evidence(frame: QuantitativeEvidenceFrame) -> BasicProbabilityAssign
     universe = frame.universe
     weights = {universe.full_bits: 1}
     for i in range(frame.arity):
-        focal = simple_support(frame, i).focal
-        den = lcm(*(v.denominator for v in focal.values()))
-        scaled = [(s.bits, v.numerator * (den // v.denominator))
-                  for s, v in focal.items()]
+        scaled, _ = simple_support(frame, i)._weights
         grown: dict[int, int] = {}
         for key, w in weights.items():
             for bits, x in scaled:

@@ -17,15 +17,17 @@ at a time over a table keyed by the running intersection or union, so they
 take O(m x distinct images) for m items. The min-dense allocator works on bit
 planes: sets of evidence families held as 2^m-bit ints, one plane per
 distinct evidence signature. Building them takes about (distinct
-signatures)^2 Boolean operations on 2^m-bit ints; a belief report then needs
-one weight (a table lookup and a product per byte of a plane) per
-proposition, plus two. At 16 states and 16 items a ``d`` report under ``sd``
-takes about 6 ms on a 2-vCPU Xeon under Python 3.11
-(``scripts/scaling_probe.py``). Custom tables and the per-subset listings
-(``mass_table``, ``allocate`` over every subset, ``validate_allocators``)
-enumerate all 2^m evidence subsets. Every path rejects arities above
-``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded`` rather than silently
-hanging.
+signatures)^2 Boolean operations on 2^m-bit ints; each belief, under ``ds``,
+``sd`` or a custom frame, then needs one weight (a table lookup and a product
+per byte of a plane), and the captured mass one more. At 16 states and 16
+items a ``d`` report or a single ``d`` belief takes about 8 ms on a 2-vCPU
+Xeon under Python 3.11 (``scripts/scaling_probe.py``). Beliefs, their
+normalisation and the bpa are all read from one justified column per
+(allocator, justification frame), ``_column``. Custom tables and the
+per-subset listings (``mass_table``, ``allocate`` over every subset,
+``validate_allocators``) enumerate all 2^m evidence subsets. Every path
+rejects arities above ``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded``
+rather than silently hanging.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import StateSet, canonical_key, render_decimal
 from .errors import (
@@ -97,6 +99,18 @@ def _common_denominator(frame: QuantitativeEvidenceFrame) -> int:
     return denominator
 
 
+def _products(items) -> list[int]:
+    """Mass numerators of every family of ``items``, indexed by item mask: with
+    certainty p/q, the product of p over the included items and of q - p over
+    the excluded ones."""
+    out = [1]
+    for item in items:
+        p = item.certainty.numerator
+        excluded = item.certainty.denominator - p
+        out = [w * excluded for w in out] + [w * p for w in out]
+    return out
+
+
 @lru_cache(maxsize=64)
 def _half_tables(frame: QuantitativeEvidenceFrame):
     """Meet-in-the-middle tables of mass numerators.
@@ -104,18 +118,8 @@ def _half_tables(frame: QuantitativeEvidenceFrame):
     Masses are integer numerators over the common denominator (the product of
     all certainty denominators), which keeps the hot loop in machine-int land.
     """
-    items = frame.items
-    half = len(items) // 2
-
-    def build(indices):
-        arr = [1]
-        for i in indices:
-            num = items[i].certainty.numerator
-            den = items[i].certainty.denominator
-            arr = [n * (den - num) for n in arr] + [n * num for n in arr]
-        return arr
-
-    return (build(range(half)), build(range(half, len(items))), half,
+    half = frame.arity // 2
+    return (_products(frame.items[:half]), _products(frame.items[half:]), half,
             _common_denominator(frame))
 
 
@@ -265,18 +269,10 @@ def _family_weigher(frame: QuantitativeEvidenceFrame):
     items = frame.items
     low = min(3, len(items))
 
-    def products(chosen):
-        out = [1]
-        for item in chosen:
-            p = item.certainty.numerator
-            excluded = item.certainty.denominator - p
-            out = [w * excluded for w in out] + [w * p for w in out]
-        return out
-
     table = [0]
-    for w in products(items[:low]) + [0] * (8 - (1 << low)):
+    for w in _products(items[:low]) + [0] * (8 - (1 << low)):
         table += [share + w for share in table]
-    high_weights = products(items[low:])
+    high_weights = _products(items[low:])
     size = len(high_weights)
     lookup = table.__getitem__
 
@@ -358,54 +354,6 @@ def _min_dense_images(frame: QuantitativeEvidenceFrame) -> dict[int, int]:
     return acc
 
 
-def _min_dense_column(
-    frame: QuantitativeEvidenceFrame,
-    justification: JustificationFrame,
-    propositions: Sequence[StateSet],
-) -> tuple[int, int, list[int]]:
-    """``(captured, at_full, inside)`` of ``d`` under ``ds`` or ``sd``, read
-    straight from the signature planes without grouping images: the
-    numerators captured by the frame, at exactly S, and inside each
-    proposition, over the common denominator.
-
-    The kept plane holds the families with a non-empty image (``ds``), or an
-    image meeting every minimal neighborhood (``sd``); builtin images are open
-    already. The empty family maps to S, which every frame keeps."""
-    _check_capacity(frame, MIN_DENSE)
-    planes = _min_dense_planes(frame)
-    kept = 0
-    covered = 0
-    for states, plane in planes:
-        kept |= plane
-        covered |= states
-    if justification.kind is JustificationKind.SD:
-        for nb in frame.minimal_neighborhood_bits:
-            meets = 0
-            for states, plane in planes:
-                if states & nb:
-                    meets |= plane
-            kept &= meets
-    weigh = _family_weigher(frame)
-    empty = weigh(1)
-    captured = weigh(kept) + empty
-    _require_capture(captured)
-    full = frame.universe.full_bits
-    at_full = empty
-    if covered == full:
-        everywhere = kept
-        for _, plane in planes:
-            everywhere &= plane
-        at_full += weigh(everywhere)
-    inside = []
-    for p in propositions:
-        families = kept
-        for states, plane in planes:
-            if states & ~p.bits and families:
-                families &= ~plane
-        inside.append(weigh(families) + (empty if p.bits == full else 0))
-    return captured, at_full, inside
-
-
 @lru_cache(maxsize=256)
 def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     """Mass numerators gathered by each image, over the common denominator.
@@ -415,10 +363,10 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     Intersection and union fold the items in; Yager is the intersection table
     with the mass on the empty set moved to S. Min-dense splits the families
     by its signature planes, about (distinct signatures)^2 operations on
-    2^m-bit ints plus one weight per image. Custom tables enumerate all 2^m
-    subsets over the meet-in-the-middle half tables. ``belief_report`` reads
-    the min-dense planes directly and does not come here for ``d`` under
-    ``ds`` or ``sd``.
+    2^m-bit ints plus one weight per image; only ``allocated_mass_table``,
+    ``allocated_mass`` and columns over another evidence frame need that
+    table, since ``_column`` reads the planes themselves. Custom tables
+    enumerate all 2^m subsets over the meet-in-the-middle half tables.
     """
     _check_capacity(frame, allocator)
     kind = allocator.kind
@@ -501,7 +449,7 @@ class JustificationFrame:
 
     @cached_property
     def _columns(self) -> dict:
-        """``_justified_column`` results over ``self.frame``, by allocator."""
+        """``_column`` values over ``self.frame``, by allocator."""
         return {}
 
     def contains_bits(self, bits: int) -> bool:
@@ -563,38 +511,44 @@ def justification_frame(
 
 # -- bridging layer: normalisation and belief ----------------------------------
 
-def _open_by_construction(
+class _Column(NamedTuple):
+    """The justified column of one allocator under one justification frame,
+    in mass numerators over the common denominator ``den``: ``captured`` is
+    the mass of the images the frame keeps, ``inside(bits)`` the kept mass on
+    images inside a proposition, and ``at(bits)`` the kept mass at exactly
+    that image."""
+
+    den: int
+    captured: int
+    inside: Callable[[int], int]
+    at: Callable[[int], int]
+
+
+def _column(
     frame: QuantitativeEvidenceFrame,
     allocator: Allocator,
     justification: JustificationFrame,
-) -> bool:
-    """A builtin allocator over the justification frame's own evidence frame,
-    under ``ds`` or ``sd``: every image is open there (allocation law 2), so
-    only emptiness or denseness decides membership."""
-    return (frame is justification.frame
-            and allocator.kind is not AllocatorKind.CUSTOM
-            and justification.kind is not JustificationKind.CUSTOM)
+) -> _Column:
+    """The one column that ``belief``, ``normalization_factor``,
+    ``justified_mass`` and ``belief_report`` read.
 
+    Builtin ``d`` over the justification frame's own evidence frame reads the
+    signature planes. With exact(I) the families whose image is exactly I,
+    that is ⋀ M_σ over the signatures σ whose states lie in I and ⋀ ¬M_σ over
+    the rest, and nothing unless those states make up I, the kept plane K
+    holds the families with a non-empty image (``ds``), an image meeting every
+    minimal neighborhood (``sd``), or ⋁ exact(T) over the members T of a
+    custom frame. The empty family maps to S, which every frame keeps, with
+    weight E, so captured = w(K) + E, inside(P) = w(K ∧ ⋀_{σ ⊄ P} ¬M_σ) +
+    [S ⊆ P]·E and at(I) = w(K ∧ exact(I)) + [I = S]·E. Non-empty families
+    never reach an uncovered state, so exact(S) is empty when one exists.
 
-def _require_capture(captured: int) -> None:
-    if captured == 0:
-        raise TopobeliefError("justification frame captures no mass; belief is undefined")
-
-
-def _justified_column(
-    frame: QuantitativeEvidenceFrame,
-    allocator: Allocator,
-    justification: JustificationFrame,
-) -> tuple[dict[int, int], int]:
-    """``(kept, captured)``: the image numerators of the frame members, and
-    their total, the captured mass over the common denominator.
-
-    Every builtin image is open in the evidential topology (allocation law 2),
-    so under ``ds`` and ``sd`` a builtin column over the justification frame's
-    own evidence frame skips the openness test: ``ds`` keeps the non-empty
-    images and ``sd`` the dense ones. Custom allocators, custom frames and
-    columns over any other evidence frame test membership with
-    ``JustificationFrame.contains_bits``.
+    Every other column keeps the numerators of ``_image_numerators`` whose
+    image the frame accepts. Builtin images are open (allocation law 2), so a
+    builtin column under ``ds`` or ``sd`` over the frame's own evidence frame
+    skips the openness test: ``ds`` keeps the non-empty images and ``sd`` the
+    dense ones. Custom allocators, custom frames and columns over another
+    evidence frame test membership with ``JustificationFrame.contains_bits``.
 
     The captured mass is strictly positive for every valid frame: the full
     space always belongs, and it gathers at least the all-items-uncertain
@@ -604,18 +558,70 @@ def _justified_column(
     own = frame is justification.frame
     columns = justification._columns if own else {}
     column = columns.get(allocator)
-    if column is None:
-        acc, _ = _image_numerators(frame, allocator)
-        if not _open_by_construction(frame, allocator, justification):
+    if column is not None:
+        return column
+    if own and allocator.kind is AllocatorKind.MIN_DENSE:
+        _check_capacity(frame, MIN_DENSE)
+        planes = _min_dense_planes(frame)
+        full = frame.universe.full_bits
+
+        def exact(families: int, image: int) -> int:
+            union = 0
+            for states, plane in planes:
+                if states & ~image:
+                    families &= ~plane
+                else:
+                    families &= plane
+                    union |= states
+            return families if union == image else 0
+
+        kept = 0
+        for _, plane in planes:
+            kept |= plane
+        if justification.kind is JustificationKind.SD:
+            for nb in frame.minimal_neighborhood_bits:
+                meets = 0
+                for states, plane in planes:
+                    if states & nb:
+                        meets |= plane
+                kept &= meets
+        elif justification.kind is JustificationKind.CUSTOM:
+            nonempty, kept = kept, 0
+            for bits in justification._member_bits:
+                kept |= exact(nonempty, bits)
+        weigh = _family_weigher(frame)
+        empty = weigh(1)
+
+        def inside(bits: int) -> int:
+            families = kept
+            for states, plane in planes:
+                if states & ~bits and families:
+                    families &= ~plane
+            return weigh(families) + (0 if full & ~bits else empty)
+
+        def at(bits: int) -> int:
+            return weigh(exact(kept, bits)) + (empty if bits == full else 0)
+
+        column = _Column(_common_denominator(frame), weigh(kept) + empty, inside, at)
+    else:
+        acc, den = _image_numerators(frame, allocator)
+        if (not own or allocator.kind is AllocatorKind.CUSTOM
+                or justification.kind is JustificationKind.CUSTOM):
             keep = justification.contains_bits
         elif justification.kind is JustificationKind.DS:
             keep = bool  # builtin images are open: keep the non-empty ones
         else:
             keep = frame.dense_bits
         kept = {bits: num for bits, num in acc.items() if keep(bits)}
-        captured = sum(kept.values())
-        _require_capture(captured)
-        column = columns[allocator] = (kept, captured)
+
+        def inside(bits: int) -> int:
+            outside = ~bits
+            return sum(num for image, num in kept.items() if not image & outside)
+
+        column = _Column(den, sum(kept.values()), inside, lambda b: kept.get(b, 0))
+    if column.captured == 0:
+        raise TopobeliefError("justification frame captures no mass; belief is undefined")
+    columns[allocator] = column
     return column
 
 
@@ -625,9 +631,8 @@ def normalization_factor(
     justification: JustificationFrame,
 ) -> Fraction:
     """Mass captured by the justification frame; the divisor of the bpa."""
-    _, captured = _justified_column(frame, allocator, justification)
-    _, den = _image_numerators(frame, allocator)
-    return Fraction(captured, den)
+    column = _column(frame, allocator, justification)
+    return Fraction(column.captured, column.den)
 
 
 def justified_mass(
@@ -640,8 +645,8 @@ def justified_mass(
     zero outside the frame."""
     if target.universe != frame.universe:
         raise FrameMismatch("target set lives in a different universe")
-    kept, captured = _justified_column(frame, allocator, justification)
-    return Fraction(kept.get(target.bits, 0), captured)
+    column = _column(frame, allocator, justification)
+    return Fraction(column.at(target.bits), column.captured)
 
 
 def belief(
@@ -655,14 +660,8 @@ def belief(
     subsets)."""
     if proposition.universe != frame.universe:
         raise FrameMismatch("proposition lives in a different universe")
-    kept, captured = _justified_column(frame, allocator, justification)
-    return Fraction(_numerator_inside(kept, proposition.bits), captured)
-
-
-def _numerator_inside(kept: dict[int, int], proposition_bits: int) -> int:
-    """Total numerator of the kept images that lie inside the proposition."""
-    outside = ~proposition_bits
-    return sum(num for bits, num in kept.items() if not bits & outside)
+    column = _column(frame, allocator, justification)
+    return Fraction(column.inside(proposition.bits), column.captured)
 
 
 # -- allocation-law validation -------------------------------------------------
@@ -811,43 +810,22 @@ def belief_report(
     propositions: Sequence[StateSet],
     precision: int = 2,
 ) -> BeliefReport:
-    """Evaluate every (proposition, allocator) cell once, exactly.
-
-    ``d`` under ``ds`` or ``sd`` over the justification frame's own evidence
-    frame is read from the signature planes; every other column from its
-    justified image numerators."""
+    """Evaluate every (proposition, allocator) cell once, exactly, from one
+    justified column per allocator."""
     for p in propositions:
         if p.universe != frame.universe:
             raise FrameMismatch("proposition lives in a different universe")
+    columns = [_column(frame, a, justification) for a in allocators]
     full = frame.universe.full_bits
-    norm: list[Fraction] = []
-    unc: list[Fraction] = []
-    columns: list[tuple[list[int], int]] = []
-    for a in allocators:
-        if (a.kind is AllocatorKind.MIN_DENSE
-                and _open_by_construction(frame, a, justification)):
-            captured, at_full, inside = _min_dense_column(
-                frame, justification, propositions)
-            den = _common_denominator(frame)
-        else:
-            kept, captured = _justified_column(frame, a, justification)
-            _, den = _image_numerators(frame, a)
-            at_full = kept.get(full, 0)
-            inside = [_numerator_inside(kept, p.bits) for p in propositions]
-        norm.append(Fraction(captured, den))
-        unc.append(Fraction(at_full, captured))
-        columns.append((inside, captured))
-    rows = [
-        tuple(Fraction(inside[r], captured) for inside, captured in columns)
-        for r in range(len(propositions))
-    ]
+    rows = [tuple(Fraction(c.inside(p.bits), c.captured) for c in columns)
+            for p in propositions]
     return BeliefReport(
         frame=frame,
         justification=justification,
         allocators=tuple(allocators),
         propositions=tuple(propositions),
         beliefs=tuple(rows),
-        normalization=tuple(norm),
-        uncertainty=tuple(unc),
+        normalization=tuple(Fraction(c.captured, c.den) for c in columns),
+        uncertainty=tuple(Fraction(c.at(full), c.captured) for c in columns),
         precision=precision,
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,8 @@ from topobelief.errors import (
 )
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import (
+    _column,
     _image_numerators,
-    _justified_column,
     INTERSECTION,
     MIN_DENSE,
     UNION,
@@ -420,28 +422,75 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("kind", ["ds", "sd"])
+def _random_custom_frame(frame, seed):
+    """A custom justification frame: S plus a few seeded unions of
+    neighborhoods, which are open."""
+    rng = random.Random(seed)
+    u = frame.universe
+    nbs = frame.neighborhood_bits
+    members = {u.full_bits}
+    for _ in range(rng.randint(0, 5)):
+        bits = 0
+        for nb in rng.sample(nbs, rng.randint(1, len(nbs))):
+            bits |= nb
+        members.add(bits)
+    return justification_frame(frame, "custom", [StateSet(u, b) for b in sorted(members)])
+
+
+@pytest.mark.parametrize("kind", ["ds", "sd", "custom", "custom-S"])
 def test_min_dense_report_equals_belief_calls(kind):
-    # belief_report reads the d column straight from the signature planes;
-    # belief, normalization_factor and justified_mass read the image table
+    # belief_report and the single calls share one column, so both are held to
+    # the d image table filtered by frame membership, computed here
     for n, frame in enumerate(_min_dense_corpus()):
         u = frame.universe
-        step = max(1, u.full_bits // 9)
-        props = [StateSet(u, bits) for bits in range(0, u.full_bits + 1, step)]
+        full = u.full_bits
+        step = max(1, full // 9)
+        props = [StateSet(u, bits) for bits in range(0, full + 1, step)]
         props.append(u.full_set())
+        if kind == "custom":
+            jf = _random_custom_frame(frame, n)
+        elif kind == "custom-S":
+            jf = justification_frame(frame, "custom", [u.full_set()])
+        else:
+            jf = justification_frame(frame, kind)
+        acc, den = _image_numerators(frame, MIN_DENSE)
+        images = sorted(acc)
+
+        def reference():
+            kept = {bits: num for bits, num in acc.items() if jf.contains_bits(bits)}
+            captured = sum(kept.values())
+            if captured == 0:
+                raise TopobeliefError(
+                    "justification frame captures no mass; belief is undefined")
+            inside = [sum(num for bits, num in kept.items() if not bits & ~p.bits)
+                      for p in props]
+            return ([Fraction(num, captured) for num in inside], Fraction(captured, den),
+                    Fraction(kept.get(full, 0), captured),
+                    [Fraction(kept.get(bits, 0), captured) for bits in images])
 
         def from_report():
-            report = belief_report(frame, [MIN_DENSE], justification_frame(frame, kind), props)
+            report = belief_report(frame, [MIN_DENSE], jf, props)
             return ([row[0] for row in report.beliefs], report.normalization[0],
-                    report.uncertainty[0])
+                    report.uncertainty[0],
+                    [justified_mass(frame, MIN_DENSE, jf, StateSet(u, b)) for b in images])
 
         def from_calls():
-            jf = justification_frame(frame, kind)
             return ([belief(frame, MIN_DENSE, jf, p) for p in props],
                     normalization_factor(frame, MIN_DENSE, jf),
-                    justified_mass(frame, MIN_DENSE, jf, u.full_set()))
+                    justified_mass(frame, MIN_DENSE, jf, u.full_set()),
+                    [justified_mass(frame, MIN_DENSE, jf, StateSet(u, b)) for b in images])
 
-        assert _outcome(from_report) == _outcome(from_calls), n
+        expected = _outcome(reference)
+        assert _outcome(from_report) == expected, n
+        assert _outcome(from_calls) == expected, n
+
+
+def test_min_dense_belief_on_eighteen_items_is_bounded():
+    frame = fixed_shape_frame(7, 16, 18)
+    proposition = frame.universe.subset(["s0", "s1", "s2"])
+    start = time.perf_counter()
+    belief(frame, MIN_DENSE, justification_frame(frame, "sd"), proposition)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("kind", ["ds", "sd"])
@@ -474,7 +523,7 @@ def _column_corpus():
 
 
 def test_builtin_images_are_open():
-    # _justified_column skips the openness test for builtin allocators on
+    # _column skips the openness test for builtin allocators on
     # this invariant (allocation law 2)
     for frame in _column_corpus():
         for alloc in BUILTINS:
@@ -490,9 +539,10 @@ def test_builtin_column_equals_contains_filter(kind):
         for alloc in BUILTINS:
             acc, _ = _image_numerators(frame, alloc)
             expected = {b: n for b, n in acc.items() if justification.contains_bits(b)}
-            kept, captured = _justified_column(frame, alloc, justification)
-            assert kept == expected, (frame, alloc.label)
-            assert captured == sum(expected.values())
+            column = _column(frame, alloc, justification)
+            kept = {b: column.at(b) for b in range(frame.universe.full_bits + 1)}
+            assert kept == {b: expected.get(b, 0) for b in kept}, (frame, alloc.label)
+            assert column.captured == sum(expected.values())
 
 
 @pytest.mark.parametrize("kind", ["ds", "sd"])
@@ -507,9 +557,11 @@ def test_column_over_another_frame_tests_openness(kind):
     for alloc in BUILTINS:
         acc, _ = _image_numerators(other, alloc)
         assert b in acc
-        kept, _ = _justified_column(other, alloc, justification)
-        assert kept == {bits: n for bits, n in acc.items() if justification.contains_bits(bits)}
-        assert b not in kept
+        expected = {bits: n for bits, n in acc.items() if justification.contains_bits(bits)}
+        column = _column(other, alloc, justification)
+        kept = {bits: column.at(bits) for bits in range(u.full_bits + 1)}
+        assert kept == {bits: expected.get(bits, 0) for bits in kept}
+        assert acc[b] and not kept[b]
 
 
 # -- normalization, justified mass, belief -------------------------------------------
