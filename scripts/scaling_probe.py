@@ -8,8 +8,10 @@ signatures)^2 operations on 2^m-bit ints, so each extra item still doubles
 its cost, but in word-parallel steps. One ``belief(d, sd, P)`` call and a
 ``d`` report under the custom frame ``[S]`` read the same planes, and are
 timed at 14, 16 and 18 items. The ``d`` lines from 18 to 24 items also give
-the peak resident memory of the process so far. The last line checks that
-the capacity cap turns 25 items into a clean error for ``d``.
+the peak resident memory of the process so far. The ``verify`` lines time every
+checker on 30 x 3, 20 x 4 and 16 x 6 frames, whose equivalence sweeps visit
+2^atoms propositions. The last line checks that the capacity cap turns 25
+items into a clean error for ``d``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from topobelief.fusion import (
     belief_report,
     justification_frame,
 )
-from topobelief.verify import fixed_shape_frame
+from topobelief.verify import fixed_shape_frame, run_all_checks
 
 
 def _proposition(frame):
@@ -65,6 +67,14 @@ def main() -> int:
         seconds = _time_report(fixed_shape_frame(0, states, items), MIN_DENSE)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"items={items:2d}  d  {seconds:7.3f}s  peak RSS {peak_mb:6.1f} MB")
+
+    for size, items in ((30, 3), (20, 4), (16, 6)):
+        frame = fixed_shape_frame(1, size, items)
+        start = time.perf_counter()
+        run_all_checks(frame)
+        seconds = time.perf_counter() - start
+        atoms = len(frame.point_signatures)
+        print(f"verify {size} x {items}  atoms={atoms:2d}  {seconds:7.3f}s")
 
     frame = fixed_shape_frame(0, states, 25)
     try:

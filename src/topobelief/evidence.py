@@ -31,7 +31,7 @@ from .errors import (
     UniverseMismatch,
     Violation,
 )
-from .topology import minimal_open_neighborhoods
+from .topology import minimal_open_neighborhoods, signature_atoms
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,14 @@ class QuantitativeEvidenceFrame:
 
     @cached_property
     def point_signatures(self) -> tuple[tuple[int, int], ...]:
-        """(state bit, evidence-membership mask) for states covered by evidence."""
-        out = []
-        for k in range(self.universe.size):
-            sig = 0
-            for i, item in enumerate(self.items):
-                if item.content.bits >> k & 1:
-                    sig |= 1 << i
-            if sig:
-                out.append((1 << k, sig))
-        return tuple(out)
+        """The atoms as ``(states, sig)``: the bits of the states whose
+        evidence-membership mask is ``sig``, one pair per distinct mask in the
+        order of its first state. Uncovered states form the atom of mask 0,
+        so the atoms partition the universe."""
+        return tuple(
+            (states, sig)
+            for sig, states in signature_atoms(self.universe, self.contents()).items()
+        )
 
     @cached_property
     def neighborhood_bits(self) -> tuple[int, ...]:

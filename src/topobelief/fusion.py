@@ -200,22 +200,19 @@ def allocate(
     if subset.mask == 0:
         return universe.full_set()
     contents = subset.contents()
-    if allocator.kind is AllocatorKind.INTERSECTION:
-        bits = universe.full_bits
-        for c in contents:
-            bits &= c.bits
-        return StateSet(universe, bits)
+    if allocator.kind is AllocatorKind.MIN_DENSE:
+        return min_dense(contents)
     if allocator.kind is AllocatorKind.UNION:
         bits = 0
         for c in contents:
             bits |= c.bits
         return StateSet(universe, bits)
-    if allocator.kind is AllocatorKind.YAGER:
+    bits = universe.full_bits
+    for c in contents:
+        bits &= c.bits
+    if not bits and allocator.kind is AllocatorKind.YAGER:
         bits = universe.full_bits
-        for c in contents:
-            bits &= c.bits
-        return StateSet(universe, bits) if bits else universe.full_set()
-    return min_dense(contents)
+    return StateSet(universe, bits)
 
 
 # stands for the union of the empty family, whose image is S; 0 would clash
@@ -283,8 +280,9 @@ def _family_weigher(frame: QuantitativeEvidenceFrame):
 
 
 def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]:
-    """``(states, plane)`` per distinct evidence signature σ: the states of
-    signature σ, and the non-empty families whose min-dense image holds them.
+    """``(states, plane)`` per atom of non-zero evidence signature σ: the
+    states of signature σ, and the non-empty families whose min-dense image
+    holds them.
 
     A family F maps a covered state to its image iff F meets σ and no other
     signature τ restricted to F strictly contains σ restricted to F, that is
@@ -315,15 +313,12 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
             mask ^= low
         return plane
 
-    groups: dict[int, int] = {}
-    for point, sig in frame.point_signatures:
-        groups[sig] = groups.get(sig, 0) | point
-    sigs = list(groups)
-    planes = [every ^ avoid(sig) for sig in sigs]
+    atoms = [(states, sig) for states, sig in frame.point_signatures if sig]
+    planes = [every ^ avoid(sig) for _, sig in atoms]
     # each pair of signatures shares its two avoid planes
-    for j, sig in enumerate(sigs):
+    for j, (_, sig) in enumerate(atoms):
         for k in range(j):
-            other = sigs[k]
+            other = atoms[k][1]
             only_sig, only_other = sig & ~other, other & ~sig
             a = avoid(only_sig)
             b = avoid(only_other)
@@ -331,7 +326,7 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
                 planes[j] &= b | ~a
             if only_sig:
                 planes[k] &= a | ~b
-    return list(zip(groups.values(), planes))
+    return [(states, plane) for (states, _), plane in zip(atoms, planes)]
 
 
 def _min_dense_images(frame: QuantitativeEvidenceFrame) -> dict[int, int]:
@@ -678,60 +673,30 @@ def validate_allocators(
     """
     _check_capacity(frame)
     report: list[Violation] = []
-    universe = frame.universe
-    full = universe.full_bits
-    size = universe.size
-    contents = [item.content.bits for item in frame.items]
     for mask in range(1 << frame.arity):
         subset = EvidenceSubset(frame, mask)
         witness = list(subset.members())
         images = [(a, allocate(frame, a, subset)) for a in allocators]
-        if mask == 0:
-            for a, img in images:
-                if not img.is_full():
-                    report.append(
-                        Violation(
-                            "EmptyFamilyImage",
-                            f"allocator {a.label!r} maps the empty evidence "
-                            f"subset to {img!r}, not the full space",
-                            {"allocator": a.label, "evidence": witness,
-                             "image": list(img.members())},
-                        )
-                    )
-        else:
-            # minimal neighborhoods of the topology generated by this subset only
-            nbhd = []
-            for k in range(size):
-                nb = full
-                for i in range(frame.arity):
-                    if mask >> i & 1 and contents[i] >> k & 1:
-                        nb &= contents[i]
-                nbhd.append(nb)
-            for a, img in images:
-                bits = img.bits
-                open_here = all(
-                    not (bits >> k & 1) or nbhd[k] & ~bits == 0 for k in range(size)
-                )
-                if not open_here:
-                    report.append(
-                        Violation(
-                            "ImageNotOpen",
-                            f"allocator {a.label!r} image {img!r} is outside the "
-                            "topology generated by the evidence subset",
-                            {"allocator": a.label, "evidence": witness,
-                             "image": list(img.members())},
-                        )
-                    )
-                elif bits and not all(nbhd[k] & bits for k in range(size)):
-                    report.append(
-                        Violation(
-                            "ImageNotDense",
-                            f"allocator {a.label!r} image {img!r} is neither empty "
-                            "nor dense for the evidence subset",
-                            {"allocator": a.label, "evidence": witness,
-                             "image": list(img.members())},
-                        )
-                    )
+        # law (2) refers to the topology of this subset's items alone
+        sub = QuantitativeEvidenceFrame(frame.universe, tuple(
+            item for i, item in enumerate(frame.items) if mask >> i & 1))
+        for a, img in images:
+            if mask == 0:
+                if img.is_full():
+                    continue
+                code, problem = ("EmptyFamilyImage", f"maps the empty evidence subset "
+                                 f"to {img!r}, not the full space")
+            elif not sub.open_bits(img.bits):
+                code, problem = ("ImageNotOpen", f"image {img!r} is outside the "
+                                 "topology generated by the evidence subset")
+            elif img.bits and not sub.dense_bits(img.bits):
+                code, problem = ("ImageNotDense", f"image {img!r} is neither empty "
+                                 "nor dense for the evidence subset")
+            else:
+                continue
+            report.append(Violation(code, f"allocator {a.label!r} {problem}",
+                                    {"allocator": a.label, "evidence": witness,
+                                     "image": list(img.members())}))
         for x in range(len(images)):
             for y in range(x + 1, len(images)):
                 a, ia = images[x]

@@ -5,6 +5,13 @@ question below is decidable by direct enumeration. ``generate_topology``
 materialises the full family of opens; the ``minimal_open_neighborhoods``
 helper answers openness/denseness queries without materialising anything,
 which is what the fusion pipeline uses at scale.
+
+States with the same evidence signature (the set of generators containing
+them) lie in exactly the same opens. ``signature_atoms`` groups them into
+atoms in one pass, and ``min_dense`` and ``maximal_fip_families`` read the
+maximal signatures from it. Every open is a union of atoms, so whether an
+open lies inside a set depends only on the largest union of atoms inside
+that set.
 """
 
 from __future__ import annotations
@@ -89,19 +96,26 @@ def arguments_for(topology: Topology, proposition: StateSet) -> tuple[StateSet, 
     )
 
 
-def _signatures(evidence: Sequence[StateSet]) -> list[tuple[int, int]]:
-    """Pairs ``(state bit, membership mask over the evidence list)``, one per
-    state covered by at least one set."""
-    universe = evidence[0].universe
-    out = []
+def signature_atoms(universe: StateUniverse, sets: Sequence[StateSet]) -> dict[int, int]:
+    """The atoms of the generated topology: each membership signature (a mask
+    over ``sets``) mapped to the bits of the states that carry it, in the
+    order of each atom's first state. Uncovered states sit under signature 0.
+    No open separates two states of one atom, so every open is a union of
+    atoms."""
+    atoms: dict[int, int] = {}
     for k in range(universe.size):
         sig = 0
-        for i, e in enumerate(evidence):
-            if e.bits >> k & 1:
+        for i, s in enumerate(sets):
+            if s.bits >> k & 1:
                 sig |= 1 << i
-        if sig:
-            out.append((1 << k, sig))
-    return out
+        atoms[sig] = atoms.get(sig, 0) | 1 << k
+    return atoms
+
+
+def _maximal_signatures(atoms: dict[int, int]) -> list[int]:
+    """The non-zero signatures that no other signature strictly contains."""
+    sigs = [sig for sig in atoms if sig]
+    return [s for s in sigs if not any(s != o and s & o == s for o in sigs)]
 
 
 def maximal_fip_families(evidence: Sequence[StateSet]) -> tuple[tuple[StateSet, ...], ...]:
@@ -115,10 +129,8 @@ def maximal_fip_families(evidence: Sequence[StateSet]) -> tuple[tuple[StateSet, 
     if not evidence:
         raise EmptyEvidenceList("need at least one evidence set")
     _check_universe(evidence[0].universe, evidence)
-    sigs = {sig for _, sig in _signatures(evidence)}
-    maximal = sorted(
-        s for s in sigs if not any(s != o and s & o == s for o in sigs)
-    )
+    atoms = signature_atoms(evidence[0].universe, evidence)
+    maximal = sorted(_maximal_signatures(atoms))
     return tuple(
         tuple(e for i, e in enumerate(evidence) if mask >> i & 1) for mask in maximal
     )
@@ -128,19 +140,17 @@ def min_dense(evidence: Sequence[StateSet]) -> StateSet:
     """The smallest dense open of the topology the evidence generates.
 
     Equals the union of the intersections of all maximal
-    finite-intersection-property families; pointwise, a state belongs iff its
-    membership signature is maximal among all signatures.
+    finite-intersection-property families, that is the union of the atoms
+    whose signature is maximal among the non-zero signatures.
     """
     if not evidence:
         raise EmptyEvidenceList("need at least one evidence set")
     universe = evidence[0].universe
     _check_universe(universe, evidence)
-    pairs = _signatures(evidence)
-    sigs = {sig for _, sig in pairs}
+    atoms = signature_atoms(universe, evidence)
     bits = 0
-    for point, sig in pairs:
-        if not any(sig != o and sig & o == sig for o in sigs):
-            bits |= point
+    for sig in _maximal_signatures(atoms):
+        bits |= atoms[sig]
     return StateSet(universe, bits)
 
 

@@ -366,10 +366,10 @@ def _maximal_signature_image(frame, mask):
     if mask == 0:
         return frame.universe.full_bits
     groups = {}
-    for point, sig in frame.point_signatures:
+    for states, sig in frame.point_signatures:
         restricted = sig & mask
         if restricted:
-            groups[restricted] = groups.get(restricted, 0) | point
+            groups[restricted] = groups.get(restricted, 0) | states
     out = 0
     for sig, points in groups.items():
         if not any(sig != other and sig & other == sig for other in groups):

@@ -16,6 +16,7 @@ from topobelief.topology import (
     is_dense,
     maximal_fip_families,
     min_dense,
+    signature_atoms,
     supports,
 )
 
@@ -160,6 +161,9 @@ def test_every_open_reconstructs_from_subbasis_intersections(pair):
             if b & ~o.bits == 0:
                 union |= b
         assert union == o.bits
+    # no open separates two states of one atom
+    for states in signature_atoms(u, sets).values():
+        assert all(o.bits & states in (0, states) for o in topo.opens)
 
 
 def test_is_dense_car_examples(car):
@@ -276,3 +280,20 @@ def test_neighborhood_predicates_match_explicit_topology(pair, raw):
     s = StateSet(u, raw % (u.full_bits + 1))
     assert frame.is_open(s) == (s in topo)
     assert frame.is_dense(s) == is_dense(s, topo)
+    # the atoms partition the universe, uncovered states under signature 0
+    covered = 0
+    for e in sets:
+        covered |= e.bits
+    union = 0
+    for states, sig in frame.point_signatures:
+        assert states and not union & states
+        union |= states
+        assert states & covered == (states if sig else 0)
+    assert union == u.full_bits
+    # the intersection-based minimal neighborhoods cover exactly the
+    # signature-based minimum dense open
+    if covered:
+        union = 0
+        for nb in frame.minimal_neighborhood_bits:
+            union |= nb
+        assert union == min_dense(sets).bits

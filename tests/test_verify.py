@@ -3,9 +3,21 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from topobelief.core import make_universe
+import pytest
+
+from topobelief.core import StateSet, make_universe
+from topobelief.dst import belief_from_bpa, combine_evidence, topological_belief
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame, parse_frame
-from topobelief.fusion import INTERSECTION, MIN_DENSE, UNION, allocate, custom_allocator
+from topobelief.fusion import (
+    INTERSECTION,
+    MIN_DENSE,
+    UNION,
+    YAGER,
+    allocate,
+    belief,
+    custom_allocator,
+    justification_frame,
+)
 from topobelief.verify import (
     check_allocation_definition,
     check_belief_axioms,
@@ -100,8 +112,6 @@ def test_bpa_checker_detects_empty_set_mass(car):
 
 
 def test_belief_checker_detects_bad_total(car):
-    from topobelief.fusion import belief, justification_frame
-
     jf = justification_frame(car, "ds")
 
     def corrupted(p):
@@ -178,3 +188,73 @@ def test_checkers_stay_green_without_mutation(car):
     assert check_allocation_definition(
         car, [INTERSECTION, UNION, MIN_DENSE]
     ).passed
+
+
+# -- the equivalence checks sweep unions of atoms, not all 2^|S| propositions ----
+
+def _full_drc_sweep(frame):
+    """``check_drc_equivalence`` as a sweep over all 2^|S| propositions."""
+    combined = verify_module.combine_evidence(frame)
+    ds = justification_frame(frame, "ds")
+    for bits in range(1 << frame.universe.size):
+        p = StateSet(frame.universe, bits)
+        lhs = belief(frame, INTERSECTION, ds, p)
+        rhs = verify_module.belief_from_bpa(combined, p)
+        if lhs != rhs:
+            return verify_module._fail("drc_equivalence", frame,
+                                       proposition=list(p.members()),
+                                       pipeline=str(lhs), combined=str(rhs))
+    return verify_module._ok("drc_equivalence", frame)
+
+
+def _full_topological_sweep(frame):
+    """``check_topological_equivalence`` as a sweep over all 2^|S|
+    propositions."""
+    sd = justification_frame(frame, "sd")
+    for bits in range(1 << frame.universe.size):
+        p = StateSet(frame.universe, bits)
+        qualitative = verify_module.topological_belief(frame, p)
+        quantitative = belief(frame, MIN_DENSE, sd, p) > 0
+        if qualitative != quantitative:
+            return verify_module._fail("topological_equivalence", frame,
+                                       proposition=list(p.members()),
+                                       qualitative=qualitative,
+                                       positive_belief=quantitative)
+    return verify_module._ok("topological_equivalence", frame)
+
+
+@pytest.mark.parametrize("mutation", [
+    None,
+    ("belief_from_bpa", lambda m, p: Fraction(0)),
+    ("topological_belief", lambda frame, p: True),
+], ids=["unpatched", "belief_from_bpa", "topological_belief"])
+def test_atom_sweeps_report_the_full_sweeps_outcome(car, monkeypatch, mutation):
+    # same verdict, detail and witness proposition as the 2^|S| sweeps,
+    # unpatched and under the mutations of the checker meta-tests above
+    if mutation is not None:
+        monkeypatch.setattr(verify_module, *mutation)
+    for frame in [car] + [random_frame(seed) for seed in range(200)]:
+        assert check_drc_equivalence(frame) == _full_drc_sweep(frame)
+        assert check_topological_equivalence(frame) == _full_topological_sweep(frame)
+
+
+def test_beliefs_depend_only_on_the_largest_union_of_atoms_inside():
+    # what the atom sweeps rely on: every side of both equivalence checks
+    # takes the same value at P as at its floor, the union of the atoms in P
+    for seed in range(100):
+        frame = random_frame(seed, 6, 5)
+        universe = frame.universe
+        combined = combine_evidence(frame)
+        justifications = [justification_frame(frame, kind) for kind in ("ds", "sd")]
+        for bits in range(1 << universe.size):
+            floor = 0
+            for states, _ in frame.point_signatures:
+                if states & ~bits == 0:
+                    floor |= states
+            p, q = StateSet(universe, bits), StateSet(universe, floor)
+            assert belief_from_bpa(combined, p) == belief_from_bpa(combined, q)
+            assert topological_belief(frame, p) == topological_belief(frame, q)
+            for jf in justifications:
+                for alloc in (INTERSECTION, UNION, MIN_DENSE, YAGER):
+                    case = (seed, alloc.label, jf.kind, bits)
+                    assert belief(frame, alloc, jf, p) == belief(frame, alloc, jf, q), case
