@@ -16,11 +16,11 @@ propositions, with atoms <= min(|S|, 2^m) for m items.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import StateSet, StateUniverse, make_universe
 from .dst import belief_from_bpa, combine_evidence, topological_belief
@@ -106,47 +106,74 @@ def check_belief_axioms(
     The inclusion-exclusion inequality is quantified over all n in the
     source definition; small n already catches non-monotone and pairwise
     failures, and anything larger is exponential.
+
+    ``evaluate`` is called once per distinct proposition the inequalities
+    name, and must return exact rationals (``Fraction`` or ``int``). The
+    inequalities are then compared as integer sums of numerators over the
+    lcm of those values' denominators, which is exact; a failure reports
+    both sides as reduced fractions. Combinations are tried in the order of
+    ``itertools.combinations``, smallest n first, so the first failing one
+    is reported.
     """
     name = "belief_axioms"
-    seen: dict[int, Fraction] = {}  # the inclusion-exclusion meets repeat
-
-    def belief_at(bits: int) -> Fraction:
-        if bits not in seen:
-            seen[bits] = evaluate(StateSet(universe, bits))
-        return seen[bits]
-
     if pool is None:
         pool = [StateSet(universe, 1 << k) for k in range(universe.size)]
         pool.append(universe.full_set())
-    empty = belief_at(0)
+    empty = evaluate(StateSet(universe, 0))
     if empty != 0:
         return _fail(name, reason="belief in the empty set not 0", value=str(empty))
-    total = belief_at(universe.full_bits)
+    full_bits = universe.full_bits
+    total = evaluate(StateSet(universe, full_bits))
     if total != 1:
         return _fail(name, reason="belief in the full set not 1", value=str(total))
-    for n in range(2, n_max + 1):
-        for combo in combinations(pool, n):
-            union_bits = 0
-            for s in combo:
-                union_bits |= s.bits
-            lhs = belief_at(union_bits)
-            rhs = Fraction(0)
-            for r in range(1, n + 1):
-                sign = 1 if r % 2 == 1 else -1
-                for picked in combinations(combo, r):
-                    inter_bits = universe.full_bits
-                    for s in picked:
-                        inter_bits &= s.bits
-                    rhs += sign * belief_at(inter_bits)
-            if lhs < rhs:
-                return _fail(
-                    name,
-                    reason="superadditivity fails",
-                    sets=[list(s.members()) for s in combo],
-                    lhs=str(lhs),
-                    rhs=str(rhs),
-                )
+
+    combos = _inclusion_exclusion_terms([s.bits for s in pool], n_max)
+    values = {0: empty, full_bits: total}
+    for _, union, positive, negative in combos:
+        for bits in (union, *positive, *negative):
+            if bits not in values:
+                values[bits] = evaluate(StateSet(universe, bits))
+    denominator = math.lcm(*(v.denominator for v in values.values()))
+    numerator = {bits: v.numerator * (denominator // v.denominator)
+                 for bits, v in values.items()}
+    at = numerator.__getitem__
+    for indices, union, positive, negative in combos:
+        lhs = numerator[union]
+        rhs = sum(map(at, positive)) - sum(map(at, negative))
+        if lhs < rhs:
+            return _fail(
+                name,
+                reason="superadditivity fails",
+                sets=[list(pool[k].members()) for k in indices],
+                lhs=str(Fraction(lhs, denominator)),
+                rhs=str(Fraction(rhs, denominator)),
+            )
     return _ok(name)
+
+
+def _inclusion_exclusion_terms(
+    bits: Sequence[int], n_max: int
+) -> list[tuple[tuple[int, ...], int, list[int], list[int]]]:
+    """For every combination of 2..``n_max`` members of ``bits``, in the
+    order of ``itertools.combinations`` by increasing size: its indices, its
+    union, and the meets of its non-empty sub-combinations of odd and of even
+    size, the positive and negative terms of inclusion-exclusion.
+
+    Combinations of size n extend those of size n - 1 by one later member,
+    so each meet is one ``&`` of a meet already built.
+    """
+    level = [((k,), b, [b], []) for k, b in enumerate(bits)]
+    terms = []
+    for _ in range(2, n_max + 1):
+        level = [
+            ((*indices, k), union | b,
+             [*positive, b, *[m & b for m in negative]],
+             [*negative, *[m & b for m in positive]])
+            for indices, union, positive, negative in level
+            for k, b in enumerate(bits[indices[-1] + 1:], indices[-1] + 1)
+        ]
+        terms += level
+    return terms
 
 
 def check_allocation_definition(
@@ -164,12 +191,26 @@ def check_allocation_definition(
     return _ok(name, frame)
 
 
-def _atom_unions(frame: QuantitativeEvidenceFrame) -> list[int]:
-    """Every union of the frame's atoms, as bits, in ascending order."""
-    unions = [0]
-    for states, _ in frame.point_signatures:
-        unions += [u | states for u in unions]
-    return sorted(unions)
+def _atom_unions(frame: QuantitativeEvidenceFrame) -> Iterator[int]:
+    """Every union of the frame's atoms, as bits, in ascending order.
+
+    The atoms are disjoint, so with them sorted by highest state, the union
+    of the atoms picked by the set bits of k grows with k: the highest atom
+    where two unions differ holds the highest state where they differ.
+    Counting k up from 0 therefore streams the unions in order; from k - 1
+    to k the atoms below k's lowest set bit t are dropped and atom t added.
+    """
+    atoms = sorted((states for states, _ in frame.point_signatures),
+                   key=int.bit_length)
+    below = [0]  # below[t]: the union of the first t atoms
+    for states in atoms:
+        below.append(below[-1] | states)
+    union = 0
+    yield union
+    for k in range(1, 1 << len(atoms)):
+        t = (k & -k).bit_length() - 1
+        union = union & ~below[t] | atoms[t]
+        yield union
 
 
 def check_drc_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import zlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -258,3 +260,143 @@ def test_beliefs_depend_only_on_the_largest_union_of_atoms_inside():
                 for alloc in (INTERSECTION, UNION, MIN_DENSE, YAGER):
                     case = (seed, alloc.label, jf.kind, bits)
                     assert belief(frame, alloc, jf, p) == belief(frame, alloc, jf, q), case
+
+
+# -- the belief-axiom check sums integer numerators; the Fraction loop is the reference
+
+def _fraction_belief_axioms(evaluate, universe, n_max=3, pool=None):
+    """``check_belief_axioms`` as a loop of ``Fraction`` sums, memoised per
+    proposition: the reference the integer check must reproduce."""
+    name = "belief_axioms"
+    seen = {}
+
+    def belief_at(bits):
+        if bits not in seen:
+            seen[bits] = evaluate(StateSet(universe, bits))
+        return seen[bits]
+
+    if pool is None:
+        pool = [StateSet(universe, 1 << k) for k in range(universe.size)]
+        pool.append(universe.full_set())
+    empty = belief_at(0)
+    if empty != 0:
+        return verify_module._fail(name, reason="belief in the empty set not 0",
+                                   value=str(empty))
+    total = belief_at(universe.full_bits)
+    if total != 1:
+        return verify_module._fail(name, reason="belief in the full set not 1",
+                                   value=str(total))
+    for n in range(2, n_max + 1):
+        for combo in combinations(pool, n):
+            union_bits = 0
+            for s in combo:
+                union_bits |= s.bits
+            lhs = belief_at(union_bits)
+            rhs = Fraction(0)
+            for r in range(1, n + 1):
+                sign = 1 if r % 2 == 1 else -1
+                for picked in combinations(combo, r):
+                    inter_bits = universe.full_bits
+                    for s in picked:
+                        inter_bits &= s.bits
+                    rhs += sign * belief_at(inter_bits)
+            if lhs < rhs:
+                return verify_module._fail(
+                    name,
+                    reason="superadditivity fails",
+                    sets=[list(s.members()) for s in combo],
+                    lhs=str(lhs),
+                    rhs=str(rhs),
+                )
+    return verify_module._ok(name)
+
+
+def _bump(seed, label, kind, universe, bits):
+    """A perturbation that is a pure function of its arguments, so it is the
+    same whatever order the two checks evaluate propositions in. About one
+    proposition in three moves; the empty and the full set rarely do."""
+    h = zlib.crc32(f"{seed},{label},{kind},{bits}".encode())
+    if bits in (0, universe.full_bits) and h % 23:
+        return Fraction(0)
+    if h % 3:
+        return Fraction(0)
+    return Fraction((h >> 4) % 7 - 3, 50)
+
+
+def _checks_pool(frame):
+    """The pool ``run_all_checks`` passes to ``check_belief_axioms``."""
+    pool = list(dict.fromkeys(frame.contents()))
+    for k in range(min(frame.universe.size, 3)):
+        pool.append(StateSet(frame.universe, 1 << k))
+    return pool
+
+
+def test_belief_axioms_equal_the_fraction_reference(car):
+    frames = [(-1, car)] + [(seed, random_frame(seed, 8, 6)) for seed in range(300)]
+    configs = [(pool, n_max) for pool in ("none", "checks") for n_max in (2, 3, 4)]
+    failed = 0
+    for seed, frame in frames:
+        universe = frame.universe
+        picked = configs if seed < 0 else [configs[seed % len(configs)]]
+        for alloc in (INTERSECTION, UNION, MIN_DENSE, YAGER):
+            for kind in ("ds", "sd"):
+                jf = justification_frame(frame, kind)
+                for bumped in (False, True):
+                    def evaluate(p):
+                        value = belief(frame, alloc, jf, p)
+                        if bumped:
+                            value += _bump(seed, alloc.label, kind, universe, p.bits)
+                        return value
+
+                    for pool_name, n_max in picked:
+                        pool = _checks_pool(frame) if pool_name == "checks" else None
+                        ref_calls, calls = [], []
+                        expected = _fraction_belief_axioms(
+                            lambda p: ref_calls.append(p.bits) or evaluate(p),
+                            universe, n_max, pool)
+                        outcome = check_belief_axioms(
+                            lambda p: calls.append(p.bits) or evaluate(p),
+                            universe, n_max, pool)
+                        case = (seed, alloc.label, kind, bumped, pool_name, n_max)
+                        assert outcome == expected, case
+                        # one call per distinct proposition, the reference's set
+                        assert len(calls) == len(set(calls)), case
+                        if expected.passed:
+                            assert set(calls) == set(ref_calls), case
+                        failed += not expected.passed
+    assert failed > 100  # the bumps reach every failure branch often
+
+
+def test_belief_axioms_mutation_fails_the_same_checks_lines(monkeypatch):
+    # a superadditivity-breaking perturbation of ``verify.belief`` fails the
+    # same ``belief_axioms:<alloc>,<kind>`` lines of ``run_all_checks``, with
+    # the same sets and values, as the Fraction reference under it
+    def bumped(frame, alloc, jf, p):
+        value = belief(frame, alloc, jf, p)
+        return value + _bump(0, alloc.label, jf.kind, frame.universe, p.bits)
+
+    monkeypatch.setattr(verify_module, "belief", bumped)
+    failed = 0
+    for seed in range(60):
+        frame = random_frame(seed, 8, 6)
+        lines = {o.check: o for o in run_all_checks(frame)}
+        for alloc in (INTERSECTION, UNION, MIN_DENSE):
+            for kind in ("ds", "sd"):
+                jf = justification_frame(frame, kind)
+                expected = _fraction_belief_axioms(
+                    lambda p, a=alloc, j=jf: bumped(frame, a, j, p),
+                    frame.universe, 3, _checks_pool(frame))
+                line = lines[f"belief_axioms:{alloc.label},{kind}"]
+                assert (line.passed, line.detail) == (expected.passed, expected.detail)
+                failed += expected.detail.get("reason") == "superadditivity fails"
+    assert failed > 20
+
+
+def test_atom_unions_stream_the_sorted_unions():
+    frames = [random_frame(seed, 10, 6) for seed in range(2000)]
+    frames.append(verify_module.fixed_shape_frame(2, 12, 6))
+    for frame in frames:
+        unions = [0]
+        for states, _ in frame.point_signatures:
+            unions += [u | states for u in unions]
+        assert list(verify_module._atom_unions(frame)) == sorted(unions)
