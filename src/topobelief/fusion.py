@@ -280,19 +280,20 @@ def _family_weigher(frame: QuantitativeEvidenceFrame):
 
 
 def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]:
-    """``(states, plane)`` per atom of non-zero evidence signature σ: the
-    states of signature σ, and the non-empty families whose min-dense image
-    holds them.
+    """``(states, plane)`` per atom of evidence signature σ: the states of
+    signature σ, and the families whose min-dense image holds them.
 
-    A family F maps a covered state to its image iff F meets σ and no other
+    The empty family (bit 0) maps to S, so it lies in every plane. A
+    non-empty family F maps a state to its image iff F meets σ and no other
     signature τ restricted to F strictly contains σ restricted to F, that is
     unless F misses σ - τ and meets τ - σ. With avoid(A) the families that
     miss the item mask A, the plane is
 
-        ¬avoid(σ) ∧ ⋀_{τ ⊄ σ} ¬(avoid(σ - τ) ∧ ¬avoid(τ - σ)).
+        (¬avoid(σ) ∧ ⋀_{τ ⊄ σ} ¬(avoid(σ - τ) ∧ ¬avoid(τ - σ))) ∨ {0}.
 
-    avoid(A) is the meet of the per-item planes of A, computed when needed.
-    Uncovered states lie in no plane; the empty family lies in none either."""
+    avoid(A) is the meet of the per-item planes of A, computed when needed;
+    it always holds bit 0. The plane of the uncovered states (σ = 0) is
+    exactly {0}."""
     size = 1 << frame.arity
     every = (1 << size) - 1
     without: list[int] = []  # families without item i
@@ -313,8 +314,8 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
             mask ^= low
         return plane
 
-    atoms = [(states, sig) for states, sig in frame.point_signatures if sig]
-    planes = [every ^ avoid(sig) for _, sig in atoms]
+    atoms = frame.point_signatures
+    planes = [every ^ avoid(sig) | 1 for _, sig in atoms]
     # each pair of signatures shares its two avoid planes
     for j, (_, sig) in enumerate(atoms):
         for k in range(j):
@@ -330,9 +331,9 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
 
 
 def _min_dense_images(frame: QuantitativeEvidenceFrame) -> dict[int, int]:
-    """Min-dense image numerators: the non-empty families are split by each
-    signature plane in turn, so every leaf holds the families of one image."""
-    leaves = [(0, (1 << (1 << frame.arity)) - 2)]
+    """Min-dense image numerators: the families are split by each signature
+    plane in turn, so every leaf holds the families of one image."""
+    leaves = [(0, (1 << (1 << frame.arity)) - 1)]
     for states, plane in _min_dense_planes(frame):
         split = []
         for image, families in leaves:
@@ -343,10 +344,7 @@ def _min_dense_images(frame: QuantitativeEvidenceFrame) -> dict[int, int]:
                 split.append((image, families ^ inside))
         leaves = split
     weigh = _family_weigher(frame)
-    acc = {image: weigh(families) for image, families in leaves if families}
-    full = frame.universe.full_bits
-    acc[full] = acc.get(full, 0) + weigh(1)  # the empty family maps to S
-    return acc
+    return {image: weigh(families) for image, families in leaves}
 
 
 @lru_cache(maxsize=256)
@@ -533,10 +531,9 @@ def _column(
     the rest, and nothing unless those states make up I, the kept plane K
     holds the families with a non-empty image (``ds``), an image meeting every
     minimal neighborhood (``sd``), or ⋁ exact(T) over the members T of a
-    custom frame. The empty family maps to S, which every frame keeps, with
-    weight E, so captured = w(K) + E, inside(P) = w(K ∧ ⋀_{σ ⊄ P} ¬M_σ) +
-    [S ⊆ P]·E and at(I) = w(K ∧ exact(I)) + [I = S]·E. Non-empty families
-    never reach an uncovered state, so exact(S) is empty when one exists.
+    custom frame. Then captured = w(K), inside(P) = w(K ∧ ⋀_{σ ⊄ P} ¬M_σ) and
+    at(I) = w(K ∧ exact(I)). The empty family lies in every plane, so it
+    counts only at S; only it reaches the uncovered states.
 
     Every other column keeps the numerators of ``_image_numerators`` whose
     image the frame accepts. Builtin images are open (allocation law 2), so a
@@ -558,7 +555,6 @@ def _column(
     if own and allocator.kind is AllocatorKind.MIN_DENSE:
         _check_capacity(frame, MIN_DENSE)
         planes = _min_dense_planes(frame)
-        full = frame.universe.full_bits
 
         def exact(families: int, image: int) -> int:
             union = 0
@@ -585,19 +581,16 @@ def _column(
             for bits in justification._member_bits:
                 kept |= exact(nonempty, bits)
         weigh = _family_weigher(frame)
-        empty = weigh(1)
 
         def inside(bits: int) -> int:
             families = kept
             for states, plane in planes:
                 if states & ~bits and families:
                     families &= ~plane
-            return weigh(families) + (0 if full & ~bits else empty)
+            return weigh(families)
 
-        def at(bits: int) -> int:
-            return weigh(exact(kept, bits)) + (empty if bits == full else 0)
-
-        column = _Column(_common_denominator(frame), weigh(kept) + empty, inside, at)
+        column = _Column(_common_denominator(frame), weigh(kept), inside,
+                         lambda bits: weigh(exact(kept, bits)))
     else:
         acc, den = _image_numerators(frame, allocator)
         if (not own or allocator.kind is AllocatorKind.CUSTOM

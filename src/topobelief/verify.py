@@ -5,13 +5,9 @@ self-contained witness (frame document plus the offending sets and values)
 that can be replayed through the CLI.
 
 The two equivalence checks quantify over every proposition P but visit only
-the unions of atoms (states with the same evidence signature), in ascending
-order. Every allocator image, Dempster focal set and minimum dense open is a
-union of atoms, so both sides take the same value at P as at the largest
-union of atoms inside P, which is no larger than P as an integer. The first
-failing union of atoms is therefore the first failing proposition of the
-full sweep, and the reported witness is the same. The sweep is 2^atoms
-propositions, with atoms <= min(|S|, 2^m) for m items.
+the empty set and the sets that generate their two sides, in ascending order.
+The first proposition of the full sweep where the two sides differ is one of
+those sets, so the reported witness is the same.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import StateSet, StateUniverse, make_universe
 from .dst import belief_from_bpa, combine_evidence, topological_belief
@@ -191,38 +187,22 @@ def check_allocation_definition(
     return _ok(name, frame)
 
 
-def _atom_unions(frame: QuantitativeEvidenceFrame) -> Iterator[int]:
-    """Every union of the frame's atoms, as bits, in ascending order.
-
-    The atoms are disjoint, so with them sorted by highest state, the union
-    of the atoms picked by the set bits of k grows with k: the highest atom
-    where two unions differ holds the highest state where they differ.
-    Counting k up from 0 therefore streams the unions in order; from k - 1
-    to k the atoms below k's lowest set bit t are dropped and atom t added.
-    """
-    atoms = sorted((states for states, _ in frame.point_signatures),
-                   key=int.bit_length)
-    below = [0]  # below[t]: the union of the first t atoms
-    for states in atoms:
-        below.append(below[-1] | states)
-    union = 0
-    yield union
-    for k in range(1, 1 << len(atoms)):
-        t = (k & -k).bit_length() - 1
-        union = union & ~below[t] | atoms[t]
-        yield union
-
-
 def check_drc_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
     """The intersection allocator under the all-arguments frame reproduces
-    Dempster-combined belief exactly, on every proposition. Both sides are
-    sums over sets that are unions of atoms, so each proposition is swept
-    through the largest union of atoms inside it."""
+    Dempster-combined belief exactly, on every proposition.
+
+    Both sides are sums of masses on the intersection images and on the
+    focal sets. Take the smallest of those sets, as an integer, where the two
+    masses differ: a proposition below it contains only sets below it, so
+    the beliefs first differ there. The check visits the empty set and those
+    sets in ascending order, which finds the full sweep's first failure."""
     name = "drc_equivalence"
     combined = combine_evidence(frame)
     ds = justification_frame(frame, "ds")
     universe = frame.universe
-    for bits in _atom_unions(frame):
+    generators = {0, *(s.bits for s in allocated_mass_table(frame, INTERSECTION)),
+                  *(s.bits for s in combined.focal)}
+    for bits in sorted(generators):
         p = StateSet(universe, bits)
         lhs = belief(frame, INTERSECTION, ds, p)
         rhs = belief_from_bpa(combined, p)
@@ -239,13 +219,21 @@ def check_drc_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
 
 def check_topological_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
     """Qualitative belief holds exactly where the min-dense allocator under the
-    dense-arguments frame assigns positive belief, on every proposition, swept
-    as in ``check_drc_equivalence``: the minimum dense open and every
-    min-dense image are unions of atoms."""
+    dense-arguments frame assigns positive belief, on every proposition.
+
+    Both sides are up-sets: one is generated by the minimum dense open, the
+    other by the kept min-dense images with positive mass. Take the smallest
+    proposition, as an integer, in one up-set and not the other: any member
+    of that up-set inside it lies outside the other up-set too, so it is
+    minimal, that is a generator. The check visits the empty set, the minimum
+    dense open and every min-dense image in ascending order, which finds the
+    full sweep's first failure."""
     name = "topological_equivalence"
     sd = justification_frame(frame, "sd")
     universe = frame.universe
-    for bits in _atom_unions(frame):
+    generators = {0, min_dense(frame.contents()).bits,
+                  *(s.bits for s in allocated_mass_table(frame, MIN_DENSE))}
+    for bits in sorted(generators):
         p = StateSet(universe, bits)
         qualitative = topological_belief(frame, p)
         quantitative = belief(frame, MIN_DENSE, sd, p) > 0
@@ -310,9 +298,9 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
         check_allocation_definition(frame, [INTERSECTION, UNION, MIN_DENSE, YAGER])
     )
 
-    pool = list(dict.fromkeys(frame.contents()))
-    for k in range(min(frame.universe.size, 3)):
-        pool.append(StateSet(frame.universe, 1 << k))
+    singletons = [StateSet(frame.universe, 1 << k)
+                  for k in range(min(frame.universe.size, 3))]
+    pool = list(dict.fromkeys([*frame.contents(), *singletons]))
     for alloc in (INTERSECTION, UNION, MIN_DENSE):
         for kind in ("ds", "sd"):
             tag = f"{alloc.label},{kind}"

@@ -240,8 +240,9 @@ def test_min_dense_believe_on_twenty_items_is_bounded(capsys, tmp_path):
 
 
 def test_verify_on_thirty_states_is_bounded(capsys, tmp_path):
-    # 2^30 propositions, but 8 atoms: the equivalence checks sweep the 2^8
-    # unions of atoms, where a sweep over every proposition would not end
+    # 2^30 propositions: the equivalence checks visit only the sets that
+    # generate their two sides, where a sweep over every proposition would
+    # not end
     path = tmp_path / "wide30.json"
     path.write_text(serialize_frame(fixed_shape_frame(1, 30, 3)), encoding="utf-8")
     start = time.perf_counter()
@@ -249,6 +250,17 @@ def test_verify_on_thirty_states_is_bounded(capsys, tmp_path):
     assert code == 0
     assert time.perf_counter() - start < 5.0
     assert "topological_equivalence: PASS" in out
+    assert "FAIL" not in out
+
+
+def test_verify_on_twenty_four_states_and_six_items_is_bounded(capsys, tmp_path):
+    # 21 atoms: a sweep over their 2^21 unions took minutes
+    path = tmp_path / "wide24.json"
+    path.write_text(serialize_frame(fixed_shape_frame(2, 24, 6)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--frame", str(path))
+    assert code == 0
+    assert time.perf_counter() - start < 5.0
     assert "FAIL" not in out
 
 

@@ -21,6 +21,7 @@ from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import (
     _column,
     _image_numerators,
+    _min_dense_planes,
     INTERSECTION,
     MIN_DENSE,
     UNION,
@@ -413,6 +414,27 @@ def test_min_dense_images_equal_per_subset_reference():
             reference[bits] = reference.get(bits, 0) + evidence_mass(frame, subset)
         acc, den = _image_numerators(frame, MIN_DENSE)
         assert {bits: Fraction(num, den) for bits, num in acc.items()} == reference, frame
+
+
+def test_min_dense_planes_hold_the_empty_family_and_the_literal_families():
+    # bit 0, the empty family, lies in every plane and is all of the plane of
+    # the uncovered states; past bit 0 each plane holds exactly the families
+    # whose literal image holds the plane's states
+    for frame in _min_dense_corpus():
+        images = [_maximal_signature_image(frame, mask)
+                  for mask in range(1 << frame.arity)]
+        planes = _min_dense_planes(frame)
+        assert [states for states, _ in planes] == [
+            states for states, _ in frame.point_signatures]
+        for (states, plane), (_, sig) in zip(planes, frame.point_signatures):
+            assert plane & 1, frame
+            if sig == 0:
+                assert plane == 1, frame
+            literal = 1
+            for mask in range(1, 1 << frame.arity):
+                if states & ~images[mask] == 0:
+                    literal |= 1 << mask
+            assert plane == literal, (frame, states)
 
 
 def _outcome(fn):

@@ -32,6 +32,7 @@ from topobelief.verify import (
     random_frame,
     run_all_checks,
 )
+import topobelief.fusion as fusion_module
 import topobelief.verify as verify_module
 
 
@@ -192,7 +193,7 @@ def test_checkers_stay_green_without_mutation(car):
     ).passed
 
 
-# -- the equivalence checks sweep unions of atoms, not all 2^|S| propositions ----
+# -- the equivalence checks visit generating sets, not all 2^|S| propositions ---
 
 def _full_drc_sweep(frame):
     """``check_drc_equivalence`` as a sweep over all 2^|S| propositions."""
@@ -240,9 +241,62 @@ def test_atom_sweeps_report_the_full_sweeps_outcome(car, monkeypatch, mutation):
         assert check_topological_equivalence(frame) == _full_topological_sweep(frame)
 
 
+def _halve_first_certainty(frame):
+    first, *rest = frame.items
+    halved = EvidenceItem(first.name, first.content, first.certainty / 2)
+    return QuantitativeEvidenceFrame(frame.universe, (halved, *rest))
+
+
+def _shrink_first_content(frame):
+    # keeps only the lowest state of the first content, so the combined focal
+    # sets need not be intersection images
+    first, *rest = frame.items
+    bits = first.content.bits
+    shrunk = StateSet(frame.universe, bits & -bits)
+    return QuantitativeEvidenceFrame(
+        frame.universe, (EvidenceItem(first.name, shrunk, first.certainty), *rest))
+
+
+def _merge_first_planes(planes):
+    if len(planes) < 2:
+        return planes
+    (states, plane), *rest = planes
+    return [(states, plane & rest[0][1]), *rest]
+
+
+@pytest.mark.parametrize("mutation", [_halve_first_certainty, _shrink_first_content,
+                                      "min_dense_planes"],
+                         ids=["halved_certainty", "shrunk_content", "min_dense_planes"])
+def test_generator_sweeps_report_the_full_sweeps_outcome_under_mutation(
+    monkeypatch, mutation
+):
+    # mutations that keep both sides sums over sets, but move those sets or
+    # their masses: the visited sets still find the full sweep's witness
+    if callable(mutation):
+        monkeypatch.setattr(verify_module, "combine_evidence",
+                            lambda frame: combine_evidence(mutation(frame)))
+    else:
+        planes = fusion_module._min_dense_planes
+        monkeypatch.setattr(fusion_module, "_min_dense_planes",
+                            lambda frame: _merge_first_planes(planes(frame)))
+    fusion_module._image_numerators.cache_clear()
+    try:
+        failed = 0
+        for seed in range(300):
+            frame = random_frame(seed, 7, 5)
+            drc = check_drc_equivalence(frame)
+            topological = check_topological_equivalence(frame)
+            assert drc == _full_drc_sweep(frame), seed
+            assert topological == _full_topological_sweep(frame), seed
+            failed += not (drc.passed and topological.passed)
+    finally:
+        fusion_module._image_numerators.cache_clear()
+    assert failed > 50
+
+
 def test_beliefs_depend_only_on_the_largest_union_of_atoms_inside():
-    # what the atom sweeps rely on: every side of both equivalence checks
-    # takes the same value at P as at its floor, the union of the atoms in P
+    # every side of both equivalence checks is built from unions of atoms, so
+    # it takes the same value at P as at its floor, the union of the atoms in P
     for seed in range(100):
         frame = random_frame(seed, 6, 5)
         universe = frame.universe
@@ -391,12 +445,3 @@ def test_belief_axioms_mutation_fails_the_same_checks_lines(monkeypatch):
                 failed += expected.detail.get("reason") == "superadditivity fails"
     assert failed > 20
 
-
-def test_atom_unions_stream_the_sorted_unions():
-    frames = [random_frame(seed, 10, 6) for seed in range(2000)]
-    frames.append(verify_module.fixed_shape_frame(2, 12, 6))
-    for frame in frames:
-        unions = [0]
-        for states, _ in frame.point_signatures:
-            unions += [u | states for u in unions]
-        assert list(verify_module._atom_unions(frame)) == sorted(unions)
