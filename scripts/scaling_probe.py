@@ -9,10 +9,12 @@ its cost, but in word-parallel steps. One ``belief(d, sd, P)`` call and a
 ``d`` report under the custom frame ``[S]`` read the same planes, and are
 timed at 14, 16 and 18 items. The ``d`` lines from 18 to 24 items also give
 the peak resident memory of the process so far. The ``verify`` lines time every
-checker on 30 x 3, 20 x 4, 16 x 6 and 24 x 6 frames; the equivalence checks
-visit only the sets that generate their two sides, and the minimum-dense-open
-check materialises the topology. The last line checks that the capacity cap
-turns 25 items into a clean error for ``d``.
+checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12 and 16 x 14 frames; the
+equivalence checks visit only the sets that generate their two sides, the
+allocation laws are checked on family planes, the merged-mass check lists
+all 2^m masses, and the minimum-dense-open check materialises the topology.
+The last line checks that the capacity cap turns 25 items into a clean error
+for ``d``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def main() -> int:
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"items={items:2d}  d  {seconds:7.3f}s  peak RSS {peak_mb:6.1f} MB")
 
-    for size, items in ((30, 3), (20, 4), (16, 6), (24, 6)):
+    for size, items in ((30, 3), (20, 4), (16, 6), (24, 6), (16, 12), (16, 14)):
         frame = fixed_shape_frame(1, size, items)
         start = time.perf_counter()
         run_all_checks(frame)

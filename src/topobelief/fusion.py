@@ -23,11 +23,13 @@ per byte of a plane), and the captured mass one more. At 16 states and 16
 items a ``d`` report or a single ``d`` belief takes about 8 ms on a 2-vCPU
 Xeon under Python 3.11 (``scripts/scaling_probe.py``). Beliefs, their
 normalisation and the bpa are all read from one justified column per
-(allocator, justification frame), ``_column``. Custom tables and the
-per-subset listings (``mass_table``, ``allocate`` over every subset,
-``validate_allocators``) enumerate all 2^m evidence subsets. Every path
-rejects arities above ``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded``
-rather than silently hanging.
+(allocator, justification frame), ``_column``. ``validate_allocators``
+checks the allocation laws on the same kind of planes, one per allocator and
+atom, in about (atoms)^2 Boolean operations on 2^m-bit ints. Custom tables
+and the per-subset listings (``mass_table``, ``allocate`` over every subset)
+enumerate all 2^m evidence subsets. Every path rejects arities above
+``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded`` rather than silently
+hanging.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import mul
+from functools import cached_property, lru_cache, reduce
+from operator import and_, mul, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import StateSet, canonical_key, render_decimal
@@ -57,22 +59,24 @@ from .topology import generate_topology, min_dense
 MAX_ENUM_ITEMS = 24
 
 
-def _check_capacity(
-    frame: QuantitativeEvidenceFrame, allocator: Allocator | None = None
-) -> None:
-    """Reject more than ``MAX_ENUM_ITEMS`` items. Only the paths that
-    enumerate every evidence subset (``d``, custom tables, and the per-subset
-    listings, which pass no allocator) are told they need 2^m evaluations."""
+# what more than ``MAX_ENUM_ITEMS`` items would cost on each enumerating path
+_SUBSETS = "2^{m} subset evaluations"
+_PLANES = "2^{m}-bit family planes"
+
+
+def _check_capacity(frame: QuantitativeEvidenceFrame, work: str | None = None) -> None:
+    """Reject more than ``MAX_ENUM_ITEMS`` items. ``work`` names what the
+    items would cost: ``_SUBSETS`` for custom tables and the per-subset
+    listings, ``_PLANES`` for ``d`` and ``validate_allocators``, nothing for
+    the folds of ``i``, ``u`` and ``yager``."""
     m = frame.arity
     if m <= MAX_ENUM_ITEMS:
         return
-    if allocator is None or allocator.kind in (AllocatorKind.MIN_DENSE,
-                                               AllocatorKind.CUSTOM):
-        raise CapacityExceeded(
-            f"{m} evidence items need 2^{m} subset evaluations; "
-            f"the cap is {MAX_ENUM_ITEMS} items"
-        )
-    raise CapacityExceeded(f"{m} evidence items exceed the cap of {MAX_ENUM_ITEMS} items")
+    if work is None:
+        raise CapacityExceeded(f"{m} evidence items exceed the cap of {MAX_ENUM_ITEMS} items")
+    raise CapacityExceeded(
+        f"{m} evidence items need {work.format(m=m)}; the cap is {MAX_ENUM_ITEMS} items"
+    )
 
 
 # -- quantitative layer -------------------------------------------------------
@@ -125,7 +129,7 @@ def _half_tables(frame: QuantitativeEvidenceFrame):
 
 def mass_table(frame: QuantitativeEvidenceFrame) -> list[tuple[EvidenceSubset, Fraction]]:
     """All 2^m merged masses, in canonical subset order (size, then index mask)."""
-    _check_capacity(frame)
+    _check_capacity(frame, _SUBSETS)
     lo, hi, half, den = _half_tables(frame)
     lomask = (1 << half) - 1
     order = sorted(range(1 << frame.arity), key=lambda k: (k.bit_count(), k))
@@ -279,25 +283,14 @@ def _family_weigher(frame: QuantitativeEvidenceFrame):
     return weigh
 
 
-def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]:
-    """``(states, plane)`` per atom of evidence signature σ: the states of
-    signature σ, and the families whose min-dense image holds them.
-
-    The empty family (bit 0) maps to S, so it lies in every plane. A
-    non-empty family F maps a state to its image iff F meets σ and no other
-    signature τ restricted to F strictly contains σ restricted to F, that is
-    unless F misses σ - τ and meets τ - σ. With avoid(A) the families that
-    miss the item mask A, the plane is
-
-        (¬avoid(σ) ∧ ⋀_{τ ⊄ σ} ¬(avoid(σ - τ) ∧ ¬avoid(τ - σ))) ∨ {0}.
-
-    avoid(A) is the meet of the per-item planes of A, computed when needed;
-    it always holds bit 0. The plane of the uncovered states (σ = 0) is
-    exactly {0}."""
-    size = 1 << frame.arity
+def _avoider(arity: int) -> Callable[[int], int]:
+    """``avoid(mask)``: the families that miss every item of ``mask``, the
+    meet of the per-item planes of the families without item i. It always
+    holds bit 0, and ``avoid(0)`` is every family."""
+    size = 1 << arity
     every = (1 << size) - 1
     without: list[int] = []  # families without item i
-    for i in range(frame.arity):
+    for i in range(arity):
         run = 1 << i
         plane = (1 << run) - 1
         span = run << 1
@@ -314,6 +307,24 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
             mask ^= low
         return plane
 
+    return avoid
+
+
+def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]:
+    """``(states, plane)`` per atom of evidence signature σ: the states of
+    signature σ, and the families whose min-dense image holds them.
+
+    The empty family (bit 0) maps to S, so it lies in every plane. A
+    non-empty family F maps a state to its image iff F meets σ and no other
+    signature τ restricted to F strictly contains σ restricted to F, that is
+    unless F misses σ - τ and meets τ - σ. With avoid(A) the families that
+    miss the item mask A (``_avoider``), the plane is
+
+        (¬avoid(σ) ∧ ⋀_{τ ⊄ σ} ¬(avoid(σ - τ) ∧ ¬avoid(τ - σ))) ∨ {0}.
+
+    The plane of the uncovered states (σ = 0) is exactly {0}."""
+    avoid = _avoider(frame.arity)
+    every = avoid(0)
     atoms = frame.point_signatures
     planes = [every ^ avoid(sig) | 1 for _, sig in atoms]
     # each pair of signatures shares its two avoid planes
@@ -361,8 +372,9 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     table, since ``_column`` reads the planes themselves. Custom tables
     enumerate all 2^m subsets over the meet-in-the-middle half tables.
     """
-    _check_capacity(frame, allocator)
     kind = allocator.kind
+    _check_capacity(frame, _PLANES if kind is AllocatorKind.MIN_DENSE
+                    else _SUBSETS if kind is AllocatorKind.CUSTOM else None)
     if kind is AllocatorKind.YAGER:
         acc, den = _image_numerators(frame, INTERSECTION)
         acc = dict(acc)
@@ -474,13 +486,21 @@ def justification_frame(
     members: Iterable[StateSet] | None = None,
 ) -> JustificationFrame:
     """Build a justification frame; custom member lists are validated against
-    the evidential topology and must contain S and exclude the empty set."""
+    the evidential topology and must contain S and exclude the empty set.
+
+    A ``ds`` or ``sd`` frame is shared for as long as some caller holds it,
+    so that callers over one evidence frame build each justified column
+    once; it is freed with its columns when the last holder drops it."""
     if not isinstance(kind, JustificationKind):
         kind = JustificationKind(str(kind).lower())
     if kind is not JustificationKind.CUSTOM:
         if members is not None:
             raise ValueError("member lists only apply to custom frames")
-        return JustificationFrame(kind, frame)
+        live = frame._justifications
+        justification = live.get(kind)
+        if justification is None:
+            justification = live[kind] = JustificationFrame(kind, frame)
+        return justification
     if members is None:
         raise ValueError("a custom frame needs an explicit member list")
     seen: dict[int, StateSet] = {}
@@ -553,7 +573,7 @@ def _column(
     if column is not None:
         return column
     if own and allocator.kind is AllocatorKind.MIN_DENSE:
-        _check_capacity(frame, MIN_DENSE)
+        _check_capacity(frame, _PLANES)
         planes = _min_dense_planes(frame)
 
         def exact(families: int, image: int) -> int:
@@ -654,56 +674,151 @@ def belief(
 
 # -- allocation-law validation -------------------------------------------------
 
+def _allocation_planes(
+    frame: QuantitativeEvidenceFrame, allocator: Allocator, avoid: Callable[[int], int]
+) -> list[tuple[int, int]]:
+    """``(states, plane)`` pairs that partition the universe: the families
+    whose image holds those states. Builtin images are unions of atoms, so
+    there is one pair per atom of evidence signature σ:
+
+    - ``i``: the families inside σ, avoid(¬σ);
+    - ``u``: the families that meet σ, and the empty family;
+    - ``yager``: the ``i`` plane, plus the families whose contents have an
+      empty intersection, which no ``i`` plane holds past bit 0;
+    - ``d``: the plane of ``_min_dense_planes``.
+
+    A custom table gets one pair per state, filled in one scan of the table.
+    """
+    kind = allocator.kind
+    if kind is AllocatorKind.CUSTOM:
+        rows = [bytearray(((1 << frame.arity) + 7) // 8)
+                for _ in range(frame.universe.size)]
+        for mask, image in allocator.table.items():
+            byte, bit = mask >> 3, 1 << (mask & 7)
+            while image:
+                low = image & -image
+                rows[low.bit_length() - 1][byte] |= bit
+                image ^= low
+        return [(1 << k, int.from_bytes(row, "little")) for k, row in enumerate(rows)]
+    if kind is AllocatorKind.MIN_DENSE:
+        return _min_dense_planes(frame)
+    every = avoid(0)
+    atoms = frame.point_signatures
+    if kind is AllocatorKind.UNION:
+        return [(states, every ^ avoid(sig) | 1) for states, sig in atoms]
+    items = (1 << frame.arity) - 1
+    planes = [avoid(items & ~sig) for _, sig in atoms]
+    if kind is AllocatorKind.YAGER:
+        empty = every
+        for plane in planes:
+            empty &= ~plane
+        planes = [plane | empty for plane in planes]
+    return [(states, plane) for (states, _), plane in zip(atoms, planes)]
+
+
+def _set_bits(plane: int) -> list[int]:
+    """The set bits of a plane, ascending."""
+    return [k for k, bit in enumerate(reversed(format(plane, "b"))) if bit == "1"]
+
+
+_LAW_MESSAGES = {
+    "EmptyFamilyImage": "maps the empty evidence subset to {!r}, not the full space",
+    "ImageNotOpen": "image {!r} is outside the topology generated by the evidence subset",
+    "ImageNotDense": "image {!r} is neither empty nor dense for the evidence subset",
+}
+
+
 def validate_allocators(
     frame: QuantitativeEvidenceFrame, allocators: Sequence[Allocator]
 ) -> list[Violation]:
-    """Check the allocation laws over every evidence subset.
+    """Check the allocation laws on every evidence subset.
 
     (1) the empty subset maps to S; (2) each image belongs to the topology
     generated by the subset alone and is either empty or dense w.r.t. it;
     (3) any two allocators' images at the same subset are nested one way or
-    the other. Violations carry the witness subset.
+    the other. Violations carry the witness subset, in the order of a sweep
+    over the subsets by ascending mask, then the allocators, then the pairs.
+
+    The laws are checked on family planes: A_x holds the families whose
+    image holds state x (``_allocation_planes``). In the topology that a
+    family F generates, the smallest open around y holds the states x for
+    which F misses σ(y) - σ(x), σ being the evidence signature. With
+    avoid(A) the families that miss the item mask A, these families break
+    the laws, past bit 0 for law (2):
+
+    - law (1): bit 0, if it lies outside some A_x;
+    - not open: ⋁_{x,y} A_x ∧ ¬A_y ∧ avoid(σ(x) - σ(y));
+    - not dense: the open, non-empty images with, for some y,
+      ⋀_x ¬(A_x ∧ avoid(σ(y) - σ(x)));
+    - law (3), for allocators a and b: ⋁_x (A_x ∧ ¬B_x) ∧ ⋁_x (B_x ∧ ¬A_x).
+
+    The states of an atom share σ, so law (2) runs over pairs of atoms with
+    the join and the meet of each atom's planes: (atoms)^2 Boolean
+    operations on 2^m-bit ints, one avoid plane per pair for all allocators.
+    The images in the report are read back from the planes.
     """
-    _check_capacity(frame)
+    _check_capacity(frame, _PLANES)
+    avoid = _avoider(frame.arity)
+    every = avoid(0)
+    atoms = frame.point_signatures
+    classes = [_allocation_planes(frame, a, avoid) for a in allocators]
+    count = len(classes)
+    parts = [[[plane for states, plane in planes if states & atom] for atom, _ in atoms]
+             for planes in classes]
+    joins = [[reduce(or_, part) for part in per_atom] for per_atom in parts]
+    outside = [[every ^ reduce(and_, part) for part in per_atom] for per_atom in parts]
+    not_open, dense = [0] * count, [every] * count
+    for j, (_, sig) in enumerate(atoms):
+        # the families for which the smallest open around atom j leaves the
+        # image, and those for which the image meets it
+        escapes, reached = [0] * count, [0] * count
+        for k, (_, other) in enumerate(atoms):
+            near = avoid(sig & ~other)
+            for n in range(count):
+                escapes[n] |= near & outside[n][k]
+                reached[n] |= near & joins[n][k]
+        for n in range(count):
+            not_open[n] |= joins[n][j] & escapes[n]
+            dense[n] &= reached[n]
+
+    found: list[tuple[int, int, str]] = []  # (mask, slot, code)
+    for n in range(count):
+        for code, plane in (("EmptyFamilyImage", reduce(or_, outside[n]) & 1),
+                            ("ImageNotOpen", not_open[n] & ~1),
+                            ("ImageNotDense",
+                             reduce(or_, joins[n]) & ~not_open[n] & ~dense[n] & ~1)):
+            found += [(mask, n, code) for mask in _set_bits(plane)]
+    rows = [[next(plane for states, plane in planes if states >> k & 1)
+             for k in range(frame.universe.size)] for planes in classes]
+    pairs = [(x, y) for x in range(count) for y in range(x + 1, count)]
+    for slot, (x, y) in enumerate(pairs, count):
+        only_x = reduce(or_, [a & ~b for a, b in zip(rows[x], rows[y])])
+        only_y = reduce(or_, [b & ~a for a, b in zip(rows[x], rows[y])])
+        found += [(mask, slot, "IncomparableImages") for mask in _set_bits(only_x & only_y)]
+    found.sort()
+
+    def image(n: int, mask: int) -> StateSet:
+        return StateSet(frame.universe, sum(states for states, plane in classes[n]
+                                            if plane >> mask & 1))
+
     report: list[Violation] = []
-    for mask in range(1 << frame.arity):
-        subset = EvidenceSubset(frame, mask)
-        witness = list(subset.members())
-        images = [(a, allocate(frame, a, subset)) for a in allocators]
-        # law (2) refers to the topology of this subset's items alone
-        sub = QuantitativeEvidenceFrame(frame.universe, tuple(
-            item for i, item in enumerate(frame.items) if mask >> i & 1))
-        for a, img in images:
-            if mask == 0:
-                if img.is_full():
-                    continue
-                code, problem = ("EmptyFamilyImage", f"maps the empty evidence subset "
-                                 f"to {img!r}, not the full space")
-            elif not sub.open_bits(img.bits):
-                code, problem = ("ImageNotOpen", f"image {img!r} is outside the "
-                                 "topology generated by the evidence subset")
-            elif img.bits and not sub.dense_bits(img.bits):
-                code, problem = ("ImageNotDense", f"image {img!r} is neither empty "
-                                 "nor dense for the evidence subset")
-            else:
-                continue
-            report.append(Violation(code, f"allocator {a.label!r} {problem}",
-                                    {"allocator": a.label, "evidence": witness,
-                                     "image": list(img.members())}))
-        for x in range(len(images)):
-            for y in range(x + 1, len(images)):
-                a, ia = images[x]
-                b, ib = images[y]
-                if ia.bits & ~ib.bits and ib.bits & ~ia.bits:
-                    report.append(
-                        Violation(
-                            "IncomparableImages",
-                            f"allocators {a.label!r} and {b.label!r} give "
-                            f"incomparable images {ia!r} and {ib!r}",
-                            {"allocators": [a.label, b.label], "evidence": witness,
-                             "images": [list(ia.members()), list(ib.members())]},
-                        )
-                    )
+    for mask, slot, code in found:
+        witness = list(EvidenceSubset(frame, mask).members())
+        if slot < count:
+            a, img = allocators[slot], image(slot, mask)
+            report.append(Violation(
+                code, f"allocator {a.label!r} " + _LAW_MESSAGES[code].format(img),
+                {"allocator": a.label, "evidence": witness, "image": list(img.members())}))
+            continue
+        x, y = pairs[slot - count]
+        a, b = allocators[x], allocators[y]
+        ia, ib = image(x, mask), image(y, mask)
+        report.append(Violation(
+            code,
+            f"allocators {a.label!r} and {b.label!r} give "
+            f"incomparable images {ia!r} and {ib!r}",
+            {"allocators": [a.label, b.label], "evidence": witness,
+             "images": [list(ia.members()), list(ib.members())]}))
     return report
 
 

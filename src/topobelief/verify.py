@@ -175,7 +175,8 @@ def _inclusion_exclusion_terms(
 def check_allocation_definition(
     frame: QuantitativeEvidenceFrame, allocators: Sequence[Allocator]
 ) -> CheckOutcome:
-    """The three allocation laws, over every evidence subset."""
+    """The three allocation laws, on every evidence subset, checked on the
+    family planes of ``validate_allocators``."""
     name = "allocation_definition"
     report = validate_allocators(frame, allocators)
     if report:
@@ -288,6 +289,9 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     checked, so CI output stays one stable line per check."""
     outcomes: list[CheckOutcome] = []
     document = frame_to_document(frame)
+    # held for the whole run, so that every check shares these two frames
+    # and so builds each justified column once
+    justifications = {kind: justification_frame(frame, kind) for kind in ("ds", "sd")}
 
     masses = {subset: value for subset, value in mass_table(frame)}
     outcome = check_mass_axioms(masses)
@@ -308,7 +312,7 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
             outcome = check_bpa_axioms(bpa)
             outcomes.append(CheckOutcome(f"bpa_axioms:{tag}", outcome.passed,
                                          outcome.detail, document))
-            jf = justification_frame(frame, kind)
+            jf = justifications[kind]
             outcome = check_belief_axioms(
                 lambda p, a=alloc, j=jf: belief(frame, a, j, p),
                 frame.universe,

@@ -19,6 +19,10 @@ from topobelief.errors import (
 )
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.fusion import (
+    Allocator,
+    AllocatorKind,
+    _allocation_planes,
+    _avoider,
     _column,
     _image_numerators,
     _min_dense_planes,
@@ -41,6 +45,8 @@ from topobelief.fusion import (
 )
 from topobelief.topology import generate_topology, is_dense
 from topobelief.verify import fixed_shape_frame, random_frame
+import topobelief.fusion as fusion_module
+from reference import validate_allocators_by_sweep
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
@@ -437,6 +443,96 @@ def test_min_dense_planes_hold_the_empty_family_and_the_literal_families():
             assert plane == literal, (frame, states)
 
 
+# -- allocation laws on family planes, against the per-subset sweep -------------
+
+BUILTINS = [INTERSECTION, UNION, MIN_DENSE, YAGER]
+
+
+def _mutated_tables(frame, rng):
+    """Custom copies of one to three builtins, each with one to three images
+    replaced by seeded random sets of states."""
+    out = []
+    for alloc in rng.sample(BUILTINS, rng.randint(1, 3)):
+        table = {mask: allocate(frame, alloc, frame.subset_from_mask(mask))
+                 for mask in range(1 << frame.arity)}
+        for _ in range(rng.randint(1, 3)):
+            table[rng.randrange(1 << frame.arity)] = StateSet(
+                frame.universe, rng.randrange(1 << frame.universe.size))
+        out.append(custom_allocator(frame, table, f"{alloc.label}*"))
+    return out
+
+
+def test_allocation_planes_give_back_the_allocate_images(car):
+    # the images that validate_allocators reports are read from these planes
+    for frame in [car, *(random_frame(seed, 8, 6) for seed in range(200))]:
+        avoid = _avoider(frame.arity)
+        for alloc in BUILTINS:
+            planes = _allocation_planes(frame, alloc, avoid)
+            for mask in range(1 << frame.arity):
+                image = sum(states for states, plane in planes if plane >> mask & 1)
+                assert image == allocate(frame, alloc, frame.subset_from_mask(mask)).bits, \
+                    (frame, alloc.label, mask)
+
+
+def test_validate_allocators_equals_the_sweep_on_the_builtins(car):
+    frames = [car, *(random_frame(seed, 8, 6) for seed in range(300)), *_min_dense_corpus()]
+    for frame in frames:
+        assert validate_allocators(frame, BUILTINS) == \
+            validate_allocators_by_sweep(frame, BUILTINS), frame
+
+
+def test_validate_allocators_equals_the_sweep_on_mutated_tables(car):
+    # same violations, in the same order, with the same messages and details
+    flagged = 0
+    for n, frame in enumerate([car, *(random_frame(seed, 8, 6) for seed in range(300))]):
+        rng = random.Random(n)
+        for _ in range(3):
+            allocators = _mutated_tables(frame, rng) + rng.sample(BUILTINS, rng.randint(0, 2))
+            expected = validate_allocators_by_sweep(frame, allocators)
+            assert validate_allocators(frame, allocators) == expected, (n, allocators)
+            flagged += bool(expected)
+    assert flagged > 500
+
+
+def test_validate_allocators_reads_d_from_its_planes(monkeypatch):
+    # one family flipped in one d plane: the report is the sweep's over the
+    # images that the flipped planes give, as a table labelled "d"
+    planes = fusion_module._min_dense_planes
+    target = []
+
+    def flipped(frame):
+        out = list(planes(frame))
+        index, family = target
+        states, plane = out[index]
+        out[index] = (states, plane ^ 1 << family)
+        return out
+
+    monkeypatch.setattr(fusion_module, "_min_dense_planes", flipped)
+    fusion_module._image_numerators.cache_clear()
+    try:
+        flagged = 0
+        for seed in range(300):
+            frame = random_frame(seed, 8, 6)
+            rng = random.Random(seed)
+            target[:] = [rng.randrange(len(frame.point_signatures)),
+                         rng.randrange(1 << frame.arity)]
+            images = [0] * (1 << frame.arity)
+            for states, plane in flipped(frame):
+                for mask in range(1 << frame.arity):
+                    if plane >> mask & 1:
+                        images[mask] |= states
+            perturbed = custom_allocator(
+                frame, {mask: StateSet(frame.universe, bits) for mask, bits in enumerate(images)},
+                "d")
+            expected = validate_allocators_by_sweep(
+                frame, [INTERSECTION, UNION, perturbed, YAGER])
+            assert validate_allocators(frame, BUILTINS) == expected, seed
+            flagged += bool(expected)
+    finally:
+        fusion_module._image_numerators.cache_clear()
+    assert flagged > 150
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -765,12 +861,24 @@ def test_capacity_cap_rejects_25_items(car):
 
 
 def test_capacity_message_names_subset_evaluations_only_where_they_happen():
+    # the folds of i, u and yager name only the cap; d and the allocation
+    # laws name the family planes they would build; the per-subset listings
+    # and custom tables name the subsets they would evaluate
     frame = _wide_frame(25)
-    for alloc in (INTERSECTION, UNION, YAGER):
-        with pytest.raises(CapacityExceeded, match="cap") as exc:
-            allocated_mass_table(frame, alloc)
-        assert "2^25" not in str(exc.value)
-    with pytest.raises(CapacityExceeded, match=r"2\^25 subset evaluations"):
-        allocated_mass_table(frame, MIN_DENSE)
-    with pytest.raises(CapacityExceeded, match=r"2\^25 subset evaluations"):
-        mass_table(frame)
+    capped = "25 evidence items exceed the cap of 24 items"
+    planes = "25 evidence items need 2^25-bit family planes; the cap is 24 items"
+    subsets = "25 evidence items need 2^25 subset evaluations; the cap is 24 items"
+    sd = justification_frame(frame, "sd")
+    table = Allocator(AllocatorKind.CUSTOM, "t", {})
+    for run, message in [
+        *((lambda a=alloc: allocated_mass_table(frame, a), capped)
+          for alloc in (INTERSECTION, UNION, YAGER)),
+        (lambda: allocated_mass_table(frame, MIN_DENSE), planes),
+        (lambda: belief_report(frame, [MIN_DENSE], sd, []), planes),
+        (lambda: validate_allocators(frame, BUILTINS), planes),
+        (lambda: mass_table(frame), subsets),
+        (lambda: allocated_mass_table(frame, table), subsets),
+    ]:
+        with pytest.raises(CapacityExceeded) as exc:
+            run()
+        assert str(exc.value) == message
