@@ -9,21 +9,29 @@ its cost, but in word-parallel steps. One ``belief(d, sd, P)`` call and a
 ``d`` report under the custom frame ``[S]`` read the same planes, and are
 timed at 14, 16 and 18 items. The ``d`` lines from 18 to 24 items also give
 the peak resident memory of the process so far. The ``verify`` lines time every
-checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12 and 16 x 14 frames; the
-equivalence checks visit only the sets that generate their two sides, the
-allocation laws are checked on family planes, the merged-mass check lists
-all 2^m masses, and the minimum-dense-open check materialises the topology.
-The last line checks that the capacity cap turns 25 items into a clean error
-for ``d``.
+checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12, 16 x 14 and 28 x 8
+frames; the equivalence checks visit only the sets that generate their two
+sides, the allocation laws are checked on family planes, the merged-mass
+check lists all 2^m masses, and the minimum-dense-open check walks every
+open of the materialised topology, judging denseness from the minimal
+neighborhoods. The ``topology 24 x 7`` line times the ``topology --output
+json`` command on a frame with 13,258 opens. The last line checks that the
+capacity cap turns 25 items into a clean error for ``d``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import resource
 import sys
+import tempfile
 import time
 
+from topobelief.cli import main as cli_main
 from topobelief.errors import CapacityExceeded
+from topobelief.evidence import serialize_frame
 from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
@@ -71,13 +79,23 @@ def main() -> int:
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"items={items:2d}  d  {seconds:7.3f}s  peak RSS {peak_mb:6.1f} MB")
 
-    for size, items in ((30, 3), (20, 4), (16, 6), (24, 6), (16, 12), (16, 14)):
-        frame = fixed_shape_frame(1, size, items)
+    for seed, size, items in ((1, 30, 3), (1, 20, 4), (1, 16, 6), (1, 24, 6),
+                              (1, 16, 12), (1, 16, 14), (5, 28, 8)):
+        frame = fixed_shape_frame(seed, size, items)
         start = time.perf_counter()
         run_all_checks(frame)
         seconds = time.perf_counter() - start
         atoms = len(frame.point_signatures)
         print(f"verify {size} x {items}  atoms={atoms:2d}  {seconds:7.3f}s")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "frame.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_frame(fixed_shape_frame(4, 24, 7)))
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["topology", "--frame", path, "--output", "json"])
+        print(f"topology 24 x 7  {time.perf_counter() - start:7.3f}s")
 
     frame = fixed_shape_frame(0, states, 25)
     try:

@@ -32,7 +32,7 @@ from .fusion import (
     mass_table,
     value_cell,
 )
-from .topology import generate_topology, is_dense
+from .topology import generate_topology
 from .verify import run_all_checks
 
 _JSON_KW = {"indent": 2, "ensure_ascii": True}
@@ -151,7 +151,7 @@ def cmd_topology(args) -> int:
         doc = {
             "states": list(frame.universe.labels),
             "opens": [
-                {"states": list(o.members()), "dense": is_dense(o, topo)}
+                {"states": list(o.members()), "dense": frame.dense_bits(o.bits)}
                 for o in topo.opens
             ],
         }
@@ -159,7 +159,7 @@ def cmd_topology(args) -> int:
         return 0
     rows = [["open", "dense"]]
     for o in topo.opens:
-        rows.append([_set_label(o), "yes" if is_dense(o, topo) else "no"])
+        rows.append([_set_label(o), "yes" if frame.dense_bits(o.bits) else "no"])
     sys.stdout.write(_format_table(rows, right=set()))
     return 0
 

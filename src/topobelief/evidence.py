@@ -15,7 +15,6 @@ serializer emits the decimal form whenever one exists.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -121,13 +120,6 @@ class QuantitativeEvidenceFrame:
             nb for nb in distinct
             if not any(other != nb and other & ~nb == 0 for other in distinct)
         ))
-
-    @cached_property
-    def _justifications(self) -> weakref.WeakValueDictionary:
-        """The ``ds`` and ``sd`` justification frames over this frame that
-        some caller still holds, by kind (see ``fusion.justification_frame``);
-        held weakly, so that their columns live no longer than their holders."""
-        return weakref.WeakValueDictionary()
 
     def open_bits(self, bits: int) -> bool:
         """Openness of a raw bit set: it holds the neighborhood of each of its

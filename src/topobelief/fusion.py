@@ -367,10 +367,10 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     Intersection and union fold the items in; Yager is the intersection table
     with the mass on the empty set moved to S. Min-dense splits the families
     by its signature planes, about (distinct signatures)^2 operations on
-    2^m-bit ints plus one weight per image; only ``allocated_mass_table``,
-    ``allocated_mass`` and columns over another evidence frame need that
-    table, since ``_column`` reads the planes themselves. Custom tables
-    enumerate all 2^m subsets over the meet-in-the-middle half tables.
+    2^m-bit ints plus one weight per image; only ``allocated_mass_table``
+    and ``allocated_mass`` need that table, since ``_column`` reads the
+    planes themselves. Custom tables enumerate all 2^m subsets over the
+    meet-in-the-middle half tables.
     """
     kind = allocator.kind
     _check_capacity(frame, _PLANES if kind is AllocatorKind.MIN_DENSE
@@ -439,7 +439,10 @@ class JustificationFrame:
 
     "ds" admits every non-empty open (lowest demands), "sd" only the dense
     opens (consistency with every argument), custom frames an explicit,
-    validated list. Membership tests never materialise the topology.
+    validated list, all opens of the topology of ``frame``. Membership tests
+    never materialise the topology. The justified columns of ``_column``
+    are kept here, one per allocator, for as long as the caller holds this
+    frame.
     """
 
     kind: JustificationKind
@@ -454,7 +457,7 @@ class JustificationFrame:
 
     @cached_property
     def _columns(self) -> dict:
-        """``_column`` values over ``self.frame``, by allocator."""
+        """``_column`` values, by allocator."""
         return {}
 
     def contains_bits(self, bits: int) -> bool:
@@ -488,19 +491,14 @@ def justification_frame(
     """Build a justification frame; custom member lists are validated against
     the evidential topology and must contain S and exclude the empty set.
 
-    A ``ds`` or ``sd`` frame is shared for as long as some caller holds it,
-    so that callers over one evidence frame build each justified column
-    once; it is freed with its columns when the last holder drops it."""
+    Each call builds a new frame with no columns yet; callers that ask for
+    several beliefs pass the same frame to each of them."""
     if not isinstance(kind, JustificationKind):
         kind = JustificationKind(str(kind).lower())
     if kind is not JustificationKind.CUSTOM:
         if members is not None:
             raise ValueError("member lists only apply to custom frames")
-        live = frame._justifications
-        justification = live.get(kind)
-        if justification is None:
-            justification = live[kind] = JustificationFrame(kind, frame)
-        return justification
+        return JustificationFrame(kind, frame)
     if members is None:
         raise ValueError("a custom frame needs an explicit member list")
     seen: dict[int, StateSet] = {}
@@ -545,34 +543,38 @@ def _column(
     """The one column that ``belief``, ``normalization_factor``,
     ``justified_mass`` and ``belief_report`` read.
 
-    Builtin ``d`` over the justification frame's own evidence frame reads the
-    signature planes. With exact(I) the families whose image is exactly I,
-    that is ⋀ M_σ over the signatures σ whose states lie in I and ⋀ ¬M_σ over
-    the rest, and nothing unless those states make up I, the kept plane K
-    holds the families with a non-empty image (``ds``), an image meeting every
-    minimal neighborhood (``sd``), or ⋁ exact(T) over the members T of a
-    custom frame. Then captured = w(K), inside(P) = w(K ∧ ⋀_{σ ⊄ P} ¬M_σ) and
-    at(I) = w(K ∧ exact(I)). The empty family lies in every plane, so it
-    counts only at S; only it reaches the uncovered states.
+    A justification frame is a family of opens of its own evidence frame, so
+    ``frame`` must be that frame or equal to it (``FrameMismatch``
+    otherwise), and the column is kept on the justification frame.
+
+    Builtin ``d`` reads the signature planes. With exact(I) the families
+    whose image is exactly I, that is ⋀ M_σ over the signatures σ whose
+    states lie in I and ⋀ ¬M_σ over the rest, and nothing unless those states
+    make up I, the kept plane K holds the families with a non-empty image
+    (``ds``), an image meeting every minimal neighborhood (``sd``), or
+    ⋁ exact(T) over the members T of a custom frame. Then captured = w(K),
+    inside(P) = w(K ∧ ⋀_{σ ⊄ P} ¬M_σ) and at(I) = w(K ∧ exact(I)). The empty
+    family lies in every plane, so it counts only at S; only it reaches the
+    uncovered states.
 
     Every other column keeps the numerators of ``_image_numerators`` whose
-    image the frame accepts. Builtin images are open (allocation law 2), so a
-    builtin column under ``ds`` or ``sd`` over the frame's own evidence frame
-    skips the openness test: ``ds`` keeps the non-empty images and ``sd`` the
-    dense ones. Custom allocators, custom frames and columns over another
-    evidence frame test membership with ``JustificationFrame.contains_bits``.
+    image the frame accepts. Builtin images are open (allocation law 2), so
+    under ``ds`` or ``sd`` a builtin column skips the openness test: ``ds``
+    keeps the non-empty images and ``sd`` the dense ones. Custom allocators
+    and custom frames test membership with
+    ``JustificationFrame.contains_bits``.
 
     The captured mass is strictly positive for every valid frame: the full
     space always belongs, and it gathers at least the all-items-uncertain
     product, which is positive because certainties are strictly below 1.
-    Columns are kept on the justification frame when ``frame`` is its own.
     """
-    own = frame is justification.frame
-    columns = justification._columns if own else {}
+    if frame is not justification.frame and frame != justification.frame:
+        raise FrameMismatch("justification frame belongs to a different evidence frame")
+    columns = justification._columns
     column = columns.get(allocator)
     if column is not None:
         return column
-    if own and allocator.kind is AllocatorKind.MIN_DENSE:
+    if allocator.kind is AllocatorKind.MIN_DENSE:
         _check_capacity(frame, _PLANES)
         planes = _min_dense_planes(frame)
 
@@ -613,7 +615,7 @@ def _column(
                          lambda bits: weigh(exact(kept, bits)))
     else:
         acc, den = _image_numerators(frame, allocator)
-        if (not own or allocator.kind is AllocatorKind.CUSTOM
+        if (allocator.kind is AllocatorKind.CUSTOM
                 or justification.kind is JustificationKind.CUSTOM):
             keep = justification.contains_bits
         elif justification.kind is JustificationKind.DS:

@@ -28,6 +28,7 @@ from .evidence import (
 from .fusion import (
     Allocator,
     INTERSECTION,
+    JustificationFrame,
     MIN_DENSE,
     UNION,
     YAGER,
@@ -38,7 +39,7 @@ from .fusion import (
     normalization_factor,
     validate_allocators,
 )
-from .topology import generate_topology, is_dense, min_dense
+from .topology import generate_topology, min_dense
 
 _MAX_CERTAINTY_DENOMINATOR = 32
 
@@ -251,7 +252,9 @@ def check_topological_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutc
 
 def check_minimum_dense_open(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
     """The computed minimum dense open is dense, open, and below every dense
-    open of the generated topology, checked exhaustively."""
+    open of the generated topology, visited in canonical order. Denseness is
+    ``frame.dense_bits``: meeting every minimal neighborhood, which is
+    meeting every non-empty open, at O(minimal neighborhoods) per open."""
     name = "minimum_dense_open"
     contents = frame.contents()
     candidate = min_dense(contents)
@@ -259,11 +262,11 @@ def check_minimum_dense_open(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
     if candidate not in topo:
         return _fail(name, frame, reason="candidate is not open",
                      candidate=list(candidate.members()))
-    if not is_dense(candidate, topo):
+    if not frame.dense_bits(candidate.bits):
         return _fail(name, frame, reason="candidate is not dense",
                      candidate=list(candidate.members()))
     for o in topo.opens:
-        if is_dense(o, topo) and not candidate.issubset(o):
+        if frame.dense_bits(o.bits) and not candidate.issubset(o):
             return _fail(
                 name,
                 frame,
@@ -275,13 +278,14 @@ def check_minimum_dense_open(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
 
 
 def justified_bpa(
-    frame: QuantitativeEvidenceFrame, allocator: Allocator, kind: str
+    frame: QuantitativeEvidenceFrame,
+    allocator: Allocator,
+    justification: JustificationFrame,
 ) -> dict[StateSet, Fraction]:
     """The renormalised mass over justification-frame members, as a focal map."""
-    jf = justification_frame(frame, kind)
     table = allocated_mass_table(frame, allocator)
-    factor = normalization_factor(frame, allocator, jf)
-    return {s: v / factor for s, v in table.items() if v and jf.contains(s)}
+    factor = normalization_factor(frame, allocator, justification)
+    return {s: v / factor for s, v in table.items() if v and justification.contains(s)}
 
 
 def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
@@ -289,9 +293,6 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     checked, so CI output stays one stable line per check."""
     outcomes: list[CheckOutcome] = []
     document = frame_to_document(frame)
-    # held for the whole run, so that every check shares these two frames
-    # and so builds each justified column once
-    justifications = {kind: justification_frame(frame, kind) for kind in ("ds", "sd")}
 
     masses = {subset: value for subset, value in mass_table(frame)}
     outcome = check_mass_axioms(masses)
@@ -308,11 +309,11 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     for alloc in (INTERSECTION, UNION, MIN_DENSE):
         for kind in ("ds", "sd"):
             tag = f"{alloc.label},{kind}"
-            bpa = justified_bpa(frame, alloc, kind)
-            outcome = check_bpa_axioms(bpa)
+            # one frame, so one justified column, for both checks
+            jf = justification_frame(frame, kind)
+            outcome = check_bpa_axioms(justified_bpa(frame, alloc, jf))
             outcomes.append(CheckOutcome(f"bpa_axioms:{tag}", outcome.passed,
                                          outcome.detail, document))
-            jf = justifications[kind]
             outcome = check_belief_axioms(
                 lambda p, a=alloc, j=jf: belief(frame, a, j, p),
                 frame.universe,

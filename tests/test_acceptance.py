@@ -304,11 +304,10 @@ def test_criterion_07_axiom_suites(corpus):
             pool.append(StateSet(frame.universe, 1 << k))
         for alloc in (INTERSECTION, UNION, MIN_DENSE):
             for kind in ("ds", "sd"):
-                bpa = justified_bpa(frame, alloc, kind)
-                outcome = check_bpa_axioms(bpa)
+                jf = justification_frame(frame, kind)
+                outcome = check_bpa_axioms(justified_bpa(frame, alloc, jf))
                 if not outcome.passed:
                     failures.append(("bpa", frame.names(), alloc.label, kind))
-                jf = justification_frame(frame, kind)
                 outcome = check_belief_axioms(
                     lambda p, a=alloc, j=jf: belief(frame, a, j, p),
                     frame.universe, n_max=3, pool=pool,

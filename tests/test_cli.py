@@ -10,7 +10,8 @@ import pytest
 import topobelief.cli as cli
 from topobelief.demo import car_frame
 from topobelief.evidence import serialize_frame
-from topobelief.verify import CheckOutcome, fixed_shape_frame
+from topobelief.topology import generate_topology, is_dense
+from topobelief.verify import CheckOutcome, fixed_shape_frame, random_frame
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -50,6 +51,34 @@ def test_topology_lists_dense_flags(capsys, car_path):
     assert len(lines) == 15  # header + 14 opens
     assert any(line.startswith("{dp,dm}") and line.endswith("yes") for line in lines)
     assert any(line.startswith("{dm,sm}") and line.endswith("no") for line in lines)
+
+
+def test_topology_dense_flags_equal_the_materialised_reference(capsys, tmp_path):
+    # the flags come from the minimal neighborhoods; is_dense scans every open
+    path = tmp_path / "frame.json"
+    for frame in [car_frame()] + [random_frame(seed, 8, 6) for seed in range(300)]:
+        path.write_text(serialize_frame(frame), encoding="utf-8")
+        topo = generate_topology(frame.universe, frame.contents())
+        expected = [is_dense(o, topo) for o in topo.opens]
+        code, out, _ = run(capsys, "topology", "--frame", str(path), "--output", "json")
+        assert code == 0
+        assert [o["dense"] for o in json.loads(out)["opens"]] == expected
+        code, out, _ = run(capsys, "topology", "--frame", str(path))
+        assert code == 0
+        flags = [line.split()[-1] for line in out.strip().splitlines()[1:]]
+        assert flags == ["yes" if dense else "no" for dense in expected]
+
+
+def test_topology_on_twenty_four_states_and_seven_items_is_bounded(capsys, tmp_path):
+    # 13,258 opens: a denseness scan over every open for every open took
+    # about 4 s on a 2-vCPU Xeon
+    path = tmp_path / "wide24x7.json"
+    path.write_text(serialize_frame(fixed_shape_frame(4, 24, 7)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "topology", "--frame", str(path), "--output", "json")
+    assert code == 0
+    assert time.perf_counter() - start < 2.0
+    assert json.loads(out)["opens"]
 
 
 def test_allocate_matrix(capsys, car_path):
@@ -261,6 +290,19 @@ def test_verify_on_twenty_four_states_and_six_items_is_bounded(capsys, tmp_path)
     code, out, _ = run(capsys, "verify", "--frame", str(path))
     assert code == 0
     assert time.perf_counter() - start < 5.0
+    assert "FAIL" not in out
+
+
+def test_verify_on_twenty_eight_states_and_eight_items_is_bounded(capsys, tmp_path):
+    # 41,580 opens: a minimum-dense-open check that scanned every open for
+    # every open did not finish in 120 s on a 2-vCPU Xeon
+    path = tmp_path / "wide28.json"
+    path.write_text(serialize_frame(fixed_shape_frame(5, 28, 8)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--frame", str(path))
+    assert code == 0
+    assert time.perf_counter() - start < 10.0
+    assert "minimum_dense_open: PASS" in out
     assert "FAIL" not in out
 
 

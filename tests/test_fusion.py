@@ -664,22 +664,27 @@ def test_builtin_column_equals_contains_filter(kind):
 
 
 @pytest.mark.parametrize("kind", ["ds", "sd"])
-def test_column_over_another_frame_tests_openness(kind):
+def test_column_needs_the_justification_frames_own_evidence_frame(kind):
     u = make_universe(["a", "b", "c"])
-    own = QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.subset(["a"]), Fraction(1, 2)),))
-    other = QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.subset(["b"]), Fraction(1, 2)),))
+
+    def single(states):
+        return QuantitativeEvidenceFrame(
+            u, (EvidenceItem("E1", u.subset(states), Fraction(1, 2)),))
+
+    own, equal, other = single(["a"]), single(["a"]), single(["b"])
+    assert equal == own and equal is not own and other != own
     justification = justification_frame(own, kind)
-    # {b} is an image of `other`, but not open in the topology of `own`
-    b = u.subset(["b"]).bits
-    assert not own.open_bits(b)
     for alloc in BUILTINS:
-        acc, _ = _image_numerators(other, alloc)
-        assert b in acc
-        expected = {bits: n for bits, n in acc.items() if justification.contains_bits(bits)}
-        column = _column(other, alloc, justification)
-        kept = {bits: column.at(bits) for bits in range(u.full_bits + 1)}
-        assert kept == {bits: expected.get(bits, 0) for bits in kept}
-        assert acc[b] and not kept[b]
+        with pytest.raises(FrameMismatch):
+            _column(other, alloc, justification)
+        with pytest.raises(FrameMismatch):
+            belief(other, alloc, justification, u.full_set())
+        for bits in range(u.full_bits + 1):
+            p = StateSet(u, bits)
+            assert belief(equal, alloc, justification, p) \
+                == belief(own, alloc, justification_frame(own, kind), p), (alloc.label, p)
+        # both frames read the one column kept on the justification frame
+        assert _column(equal, alloc, justification) is _column(own, alloc, justification)
 
 
 # -- normalization, justified mass, belief -------------------------------------------

@@ -111,7 +111,7 @@ def test_mass_checker_detects_out_of_range():
 
 
 def test_bpa_checker_detects_empty_set_mass(car):
-    bpa = justified_bpa(car, INTERSECTION, "ds")
+    bpa = justified_bpa(car, INTERSECTION, justification_frame(car, "ds"))
     bpa[car.universe.empty_set()] = Fraction(1, 100)
     assert not check_bpa_axioms(bpa).passed
 
@@ -183,6 +183,21 @@ def test_min_dense_checker_detects_wrong_candidate(car, monkeypatch):
     outcome = check_minimum_dense_open(car)
     assert not outcome.passed
     assert outcome.detail["reason"] == "a dense open does not contain the candidate"
+
+
+@pytest.mark.parametrize("mutation, reason", [
+    (lambda dense_bits: lambda self, bits: True,
+     "a dense open does not contain the candidate"),
+    (lambda dense_bits: lambda self, bits: not dense_bits(self, bits),
+     "candidate is not dense"),
+], ids=["always_dense", "negated"])
+def test_min_dense_checker_depends_on_dense_bits(car, monkeypatch, mutation, reason):
+    original = QuantitativeEvidenceFrame.dense_bits
+    monkeypatch.setattr(QuantitativeEvidenceFrame, "dense_bits", mutation(original))
+    for frame in [car] + [random_frame(seed, 8, 6) for seed in range(20)]:
+        outcome = check_minimum_dense_open(frame)
+        assert not outcome.passed, frame
+        assert outcome.detail["reason"] == reason
 
 
 def test_checkers_stay_green_without_mutation(car):
