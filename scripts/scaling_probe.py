@@ -15,8 +15,10 @@ sides, the allocation laws are checked on family planes, the merged-mass
 check lists all 2^m masses, and the minimum-dense-open check walks every
 open of the materialised topology, judging denseness from the minimal
 neighborhoods. The ``topology 24 x 7`` line times the ``topology --output
-json`` command on a frame with 13,258 opens. The last line checks that the
-capacity cap turns 25 items into a clean error for ``d``.
+json`` command on a frame with 13,258 opens, and the ``topology 24 x 22``
+line the refusal of a frame of 22 singleton items, whose 2^22 + 1 opens pass
+the cap of 2^18. The last line checks that the capacity cap turns 25 items
+into a clean error for ``d``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ import resource
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 from topobelief.cli import main as cli_main
+from topobelief.core import StateSet, make_universe
 from topobelief.errors import CapacityExceeded
-from topobelief.evidence import serialize_frame
+from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame, serialize_frame
 from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
@@ -96,6 +100,17 @@ def main() -> int:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["topology", "--frame", path, "--output", "json"])
         print(f"topology 24 x 7  {time.perf_counter() - start:7.3f}s")
+
+        universe = make_universe([f"s{k}" for k in range(24)])
+        singletons = QuantitativeEvidenceFrame(universe, tuple(
+            EvidenceItem(f"E{k + 1}", StateSet(universe, 1 << k), Fraction(1, 2))
+            for k in range(22)))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_frame(singletons))
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["topology", "--frame", path])
+        print(f"topology 24 x 22  exit {code}  {time.perf_counter() - start:7.3f}s")
 
     frame = fixed_shape_frame(0, states, 25)
     try:

@@ -42,12 +42,9 @@ class UsageError(Exception):
     pass
 
 
-def _set_label(s: StateSet) -> str:
+def _label(s) -> str:
+    """``{a,b}`` for a state set or an evidence subset."""
     return "{" + ",".join(s.members()) + "}"
-
-
-def _subset_label(members: tuple[str, ...]) -> str:
-    return "{" + ",".join(members) + "}"
 
 
 def _value_text(value: Fraction, precision: int, exact: bool) -> str:
@@ -159,7 +156,7 @@ def cmd_topology(args) -> int:
         return 0
     rows = [["open", "dense"]]
     for o in topo.opens:
-        rows.append([_set_label(o), "yes" if frame.dense_bits(o.bits) else "no"])
+        rows.append([_label(o), "yes" if frame.dense_bits(o.bits) else "no"])
     sys.stdout.write(_format_table(rows, right=set()))
     return 0
 
@@ -179,8 +176,7 @@ def cmd_mass(args) -> int:
         return 0
     rows = [["evidence", "mass"]]
     for subset, value in table:
-        rows.append([_subset_label(subset.members()),
-                     _value_text(value, args.precision, args.exact)])
+        rows.append([_label(subset), _value_text(value, args.precision, args.exact)])
     sys.stdout.write(_format_table(rows, right={1}))
     return 0
 
@@ -209,8 +205,8 @@ def cmd_allocate(args) -> int:
         return 0
     rows = [["evidence", *labels, "mass"]]
     for subset, value in table:
-        row = [_subset_label(subset.members())]
-        row += [_set_label(allocate(frame, a, subset)) for a in allocators]
+        row = [_label(subset)]
+        row += [_label(allocate(frame, a, subset)) for a in allocators]
         row.append(_value_text(value, args.precision, args.exact))
         rows.append(row)
     sys.stdout.write(_format_table(rows, right={len(labels) + 1}))
@@ -221,16 +217,15 @@ def render_report(report, exact: bool = False) -> str:
     """Fixed-width belief table: one row per proposition, then uncertainty
     and the normalization factor, one column per allocator."""
     labels = report.allocator_labels()
-    precision = report.precision
 
-    def txt(value: Fraction) -> str:
-        return str(value) if exact else render_decimal(value, precision)
+    def cells(values) -> list[str]:
+        return [_value_text(v, report.precision, exact) for v in values]
 
     rows = [["proposition", *labels]]
     for r, p in enumerate(report.propositions):
-        rows.append([_set_label(p), *[txt(v) for v in report.beliefs[r]]])
-    rows.append(["Uncertainty", *[txt(v) for v in report.uncertainty]])
-    rows.append(["N.f.", *[txt(v) for v in report.normalization]])
+        rows.append([_label(p), *cells(report.beliefs[r])])
+    rows.append(["Uncertainty", *cells(report.uncertainty)])
+    rows.append(["N.f.", *cells(report.normalization)])
     head = f"justification: {report.justification.kind.value}\n"
     return head + _format_table(rows, right=set(range(1, len(labels) + 1)))
 

@@ -474,13 +474,12 @@ class JustificationFrame:
         return self.contains_bits(s.bits)
 
     def members(self) -> tuple[StateSet, ...]:
-        """Explicit member list; materialises the topology for ds/sd kinds."""
+        """Explicit member list; ds/sd kinds list the generated topology, so
+        they raise ``CapacityExceeded`` past ``topology.MAX_OPENS`` opens."""
         if self.kind is JustificationKind.CUSTOM:
             return self.custom_members
         topo = generate_topology(self.frame.universe, self.frame.contents())
-        if self.kind is JustificationKind.DS:
-            return topo.nonempty_opens()
-        return tuple(o for o in topo.nonempty_opens() if self.frame.is_dense(o))
+        return tuple(o for o in topo.opens if self.contains_bits(o.bits))
 
 
 def justification_frame(

@@ -1,10 +1,11 @@
 """Topology generation from a subbasis, denseness, and minimum dense opens.
 
-All spaces are finite, so arbitrary unions reduce to pairwise ones and every
-question below is decidable by direct enumeration. ``generate_topology``
-materialises the full family of opens; the ``minimal_open_neighborhoods``
-helper answers openness/denseness queries without materialising anything,
-which is what the fusion pipeline uses at scale.
+All spaces are finite, so a topology is fixed by its minimal open
+neighborhoods, the smallest open around each state, which form its smallest
+basis. ``minimal_open_neighborhoods`` answers openness/denseness queries
+without materialising anything, which is what the fusion pipeline uses at
+scale; ``generate_topology`` lists every open as a union of those
+neighborhoods, up to ``MAX_OPENS`` opens.
 
 States with the same evidence signature (the set of generators containing
 them) lie in exactly the same opens. ``signature_atoms`` groups them into
@@ -17,10 +18,14 @@ that set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import StateSet, StateUniverse, canonical_key
-from .errors import EmptyEvidenceList, UniverseMismatch
+from .errors import CapacityExceeded, EmptyEvidenceList, UniverseMismatch
+
+# every topology on up to 18 states fits
+MAX_OPENS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -30,11 +35,12 @@ class Topology:
     universe: StateUniverse
     opens: tuple[StateSet, ...]
 
-    def __contains__(self, s: StateSet) -> bool:
-        return s in set(self.opens)
+    @cached_property
+    def _open_bits(self) -> frozenset[int]:
+        return frozenset(o.bits for o in self.opens)
 
-    def nonempty_opens(self) -> tuple[StateSet, ...]:
-        return tuple(o for o in self.opens if not o.is_empty())
+    def __contains__(self, s: StateSet) -> bool:
+        return s.universe == self.universe and s.bits in self._open_bits
 
     def __len__(self) -> int:
         return len(self.opens)
@@ -49,28 +55,19 @@ def _check_universe(universe: StateUniverse, sets: Sequence[StateSet]) -> None:
 def generate_topology(universe: StateUniverse, subbasis: Sequence[StateSet]) -> Topology:
     """Smallest topology containing ``subbasis``.
 
-    Seeds with every finite intersection of subbasis members (the empty
-    intersection contributes the full space) plus the empty set, then closes
-    under unions. Unions of intersections are already intersection-closed by
-    distributivity, so the union fixpoint is the whole closure.
+    Its opens are the unions of the distinct minimal open neighborhoods,
+    starting from the empty union: each neighborhood is joined to every open
+    found so far. The family only grows, so it passes ``MAX_OPENS`` exactly
+    when the topology has more opens than that, in any neighborhood order,
+    and the listing is then refused with ``CapacityExceeded``.
     """
-    _check_universe(universe, subbasis)
-    full = universe.full_bits
-    basis: set[int] = {full}
-    for s in subbasis:
-        basis |= {b & s.bits for b in basis}
-    opens: set[int] = set(basis) | {0}
-    frontier = list(basis)
-    basis_list = list(basis)
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for b in basis_list:
-                u = x | b
-                if u not in opens:
-                    opens.add(u)
-                    next_frontier.append(u)
-        frontier = next_frontier
+    opens = {0}
+    for nb in {s.bits for s in minimal_open_neighborhoods(universe, subbasis)}:
+        opens |= {o | nb for o in opens}
+        if len(opens) > MAX_OPENS:
+            raise CapacityExceeded(
+                f"the generated topology has more than the cap of {MAX_OPENS} opens"
+            )
     members = sorted((StateSet(universe, bits) for bits in opens), key=canonical_key)
     return Topology(universe, tuple(members))
 

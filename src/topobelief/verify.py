@@ -2,7 +2,9 @@
 
 Checkers return data, never raise: a failing ``CheckOutcome`` carries a
 self-contained witness (frame document plus the offending sets and values)
-that can be replayed through the CLI.
+that can be replayed through the CLI. Capacity refusals are not outcomes:
+``mass_table`` past its item cap and ``generate_topology`` past
+``MAX_OPENS`` opens raise ``CapacityExceeded`` through the checkers.
 
 The two equivalence checks quantify over every proposition P but visit only
 the empty set and the sets that generate their two sides, in ascending order.
@@ -189,9 +191,10 @@ def check_allocation_definition(
     return _ok(name, frame)
 
 
-def check_drc_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
-    """The intersection allocator under the all-arguments frame reproduces
-    Dempster-combined belief exactly, on every proposition.
+def check_drc_equivalence(frame: QuantitativeEvidenceFrame,
+                          ds: JustificationFrame) -> CheckOutcome:
+    """The intersection allocator under ``ds``, the frame's all-arguments
+    frame, reproduces Dempster-combined belief exactly, on every proposition.
 
     Both sides are sums of masses on the intersection images and on the
     focal sets. Take the smallest of those sets, as an integer, where the two
@@ -200,7 +203,6 @@ def check_drc_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
     sets in ascending order, which finds the full sweep's first failure."""
     name = "drc_equivalence"
     combined = combine_evidence(frame)
-    ds = justification_frame(frame, "ds")
     universe = frame.universe
     generators = {0, *(s.bits for s in allocated_mass_table(frame, INTERSECTION)),
                   *(s.bits for s in combined.focal)}
@@ -219,9 +221,11 @@ def check_drc_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
     return _ok(name, frame)
 
 
-def check_topological_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
-    """Qualitative belief holds exactly where the min-dense allocator under the
-    dense-arguments frame assigns positive belief, on every proposition.
+def check_topological_equivalence(frame: QuantitativeEvidenceFrame,
+                                  sd: JustificationFrame) -> CheckOutcome:
+    """Qualitative belief holds exactly where the min-dense allocator under
+    ``sd``, the frame's dense-arguments frame, assigns positive belief, on
+    every proposition.
 
     Both sides are up-sets: one is generated by the minimum dense open, the
     other by the kept min-dense images with positive mass. Take the smallest
@@ -231,7 +235,6 @@ def check_topological_equivalence(frame: QuantitativeEvidenceFrame) -> CheckOutc
     dense open and every min-dense image in ascending order, which finds the
     full sweep's first failure."""
     name = "topological_equivalence"
-    sd = justification_frame(frame, "sd")
     universe = frame.universe
     generators = {0, min_dense(frame.contents()).bits,
                   *(s.bits for s in allocated_mass_table(frame, MIN_DENSE))}
@@ -306,11 +309,11 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     singletons = [StateSet(frame.universe, 1 << k)
                   for k in range(min(frame.universe.size, 3))]
     pool = list(dict.fromkeys([*frame.contents(), *singletons]))
+    # one frame per kind, so one justified column per allocator, for every check
+    justifications = {kind: justification_frame(frame, kind) for kind in ("ds", "sd")}
     for alloc in (INTERSECTION, UNION, MIN_DENSE):
-        for kind in ("ds", "sd"):
+        for kind, jf in justifications.items():
             tag = f"{alloc.label},{kind}"
-            # one frame, so one justified column, for both checks
-            jf = justification_frame(frame, kind)
             outcome = check_bpa_axioms(justified_bpa(frame, alloc, jf))
             outcomes.append(CheckOutcome(f"bpa_axioms:{tag}", outcome.passed,
                                          outcome.detail, document))
@@ -323,8 +326,8 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
             outcomes.append(CheckOutcome(f"belief_axioms:{tag}", outcome.passed,
                                          outcome.detail, document))
 
-    outcomes.append(check_drc_equivalence(frame))
-    outcomes.append(check_topological_equivalence(frame))
+    outcomes.append(check_drc_equivalence(frame, justifications["ds"]))
+    outcomes.append(check_topological_equivalence(frame, justifications["sd"]))
     outcomes.append(check_minimum_dense_open(frame))
     return outcomes
 

@@ -3,9 +3,37 @@ paths in the package are held to."""
 
 from __future__ import annotations
 
+from topobelief.core import StateSet, canonical_key
 from topobelief.errors import Violation
 from topobelief.evidence import EvidenceSubset, QuantitativeEvidenceFrame
 from topobelief.fusion import allocate
+from topobelief.topology import Topology
+
+
+def generate_topology_by_intersections(universe, subbasis) -> Topology:
+    """``topology.generate_topology`` from its definition: every finite
+    intersection of subbasis members (the empty intersection is the full
+    space) plus the empty set, closed under unions by a breadth-first
+    frontier. Unions of intersections are already intersection-closed by
+    distributivity, so the union fixpoint is the whole closure."""
+    full = universe.full_bits
+    basis: set[int] = {full}
+    for s in subbasis:
+        basis |= {b & s.bits for b in basis}
+    opens: set[int] = set(basis) | {0}
+    frontier = list(basis)
+    basis_list = list(basis)
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for b in basis_list:
+                u = x | b
+                if u not in opens:
+                    opens.add(u)
+                    next_frontier.append(u)
+        frontier = next_frontier
+    members = sorted((StateSet(universe, bits) for bits in opens), key=canonical_key)
+    return Topology(universe, tuple(members))
 
 
 def validate_allocators_by_sweep(frame, allocators) -> list[Violation]:

@@ -3,13 +3,15 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import topobelief.cli as cli
+from topobelief.core import StateSet, make_universe
 from topobelief.demo import car_frame
-from topobelief.evidence import serialize_frame
+from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame, serialize_frame
 from topobelief.topology import generate_topology, is_dense
 from topobelief.verify import CheckOutcome, fixed_shape_frame, random_frame
 
@@ -79,6 +81,42 @@ def test_topology_on_twenty_four_states_and_seven_items_is_bounded(capsys, tmp_p
     assert code == 0
     assert time.perf_counter() - start < 2.0
     assert json.loads(out)["opens"]
+
+
+def _singleton_frame():
+    """24 states and 22 items of one state each: 2^22 + 1 opens."""
+    u = make_universe([f"s{k}" for k in range(24)])
+    return QuantitativeEvidenceFrame(u, tuple(
+        EvidenceItem(f"E{k + 1}", StateSet(u, 1 << k), Fraction(1, 2)) for k in range(22)))
+
+
+def _discrete_frame():
+    """24 states with distinct 4-of-8 item signatures: no state's signature
+    holds another's, so every state is its own minimal neighborhood and all
+    2^24 sets are open."""
+    u = make_universe([f"s{k}" for k in range(24)])
+    signatures = list(combinations(range(8), 4))[::2][:24]
+    return QuantitativeEvidenceFrame(u, tuple(
+        EvidenceItem(f"E{i + 1}", StateSet(u, sum(
+            1 << k for k, sig in enumerate(signatures) if i in sig)), Fraction(1, 2))
+        for i in range(8)))
+
+
+@pytest.mark.parametrize("command, build", [
+    ("topology", _singleton_frame),
+    ("topology", _discrete_frame),
+    ("verify", _discrete_frame),
+], ids=["topology-singletons", "topology-discrete", "verify-discrete"])
+def test_listing_more_opens_than_the_cap_exits_3(capsys, tmp_path, command, build):
+    # listing every open ran past 15 s on a 2-vCPU Xeon and did not end
+    path = tmp_path / "frame.json"
+    path.write_text(serialize_frame(build()), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--frame", str(path))
+    assert code == 3
+    assert time.perf_counter() - start < 2.0
+    assert "cap of 262144 opens" in err
+    assert out == ""
 
 
 def test_allocate_matrix(capsys, car_path):

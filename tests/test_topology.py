@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import generate_topology_by_intersections
+import topobelief.topology as topology_module
 from topobelief.core import StateSet, make_universe
-from topobelief.errors import EmptyEvidenceList, UniverseMismatch
+from topobelief.errors import CapacityExceeded, EmptyEvidenceList, UniverseMismatch
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
 from topobelief.topology import (
     Topology,
@@ -19,6 +21,7 @@ from topobelief.topology import (
     signature_atoms,
     supports,
 )
+from topobelief.verify import random_frame
 
 
 def closure_oracle(universe, subbasis):
@@ -115,6 +118,41 @@ def test_generate_topology_matches_smallest_family_oracle():
     for subbasis in subbases:
         got = {o.bits for o in generate_topology(u, subbasis).opens}
         assert got == smallest_family_oracle(u, subbasis)
+
+
+def test_generate_topology_equals_the_intersection_reference(car):
+    # same opens in the same canonical order as the closure of the
+    # finite-intersection basis
+    frames = ([car] + [random_frame(seed, 8, 6) for seed in range(300)]
+              + [random_frame(seed, 16, 10) for seed in range(100)])
+    for frame in frames:
+        u, sets = frame.universe, frame.contents()
+        assert generate_topology(u, sets) == generate_topology_by_intersections(u, sets)
+
+
+def test_generate_topology_refuses_more_opens_than_the_cap(monkeypatch):
+    # the discrete topology on n states has 2^n opens; it is refused past the
+    # cap whatever the order of the generators, and listed up to it
+    monkeypatch.setattr(topology_module, "MAX_OPENS", 16)
+    for n, listed in ((4, True), (5, False)):
+        u = make_universe([f"s{i}" for i in range(n)])
+        singletons = [StateSet(u, 1 << k) for k in range(n)]
+        for sets in (singletons, singletons[::-1]):
+            if listed:
+                assert len(generate_topology(u, sets)) == 16
+            else:
+                with pytest.raises(CapacityExceeded, match="cap of 16 opens"):
+                    generate_topology(u, sets)
+
+
+def test_topology_contains_only_its_own_universes_opens(car):
+    topo = generate_topology(car.universe, car.contents())
+    assert car.universe.full_set() in topo
+    # same labels and bits, one more state: a different universe
+    other = make_universe([*car.universe.labels, "extra"])
+    assert StateSet(other, car.universe.full_bits) not in topo
+    assert other.empty_set() not in topo
+    assert car.universe.empty_set() in topo
 
 
 def test_generate_topology_rejects_foreign_sets():

@@ -38,6 +38,14 @@ import topobelief.fusion as fusion_module
 import topobelief.verify as verify_module
 
 
+def _drc(frame):
+    return check_drc_equivalence(frame, justification_frame(frame, "ds"))
+
+
+def _topological(frame):
+    return check_topological_equivalence(frame, justification_frame(frame, "sd"))
+
+
 def test_random_frame_deterministic():
     assert random_frame(42, 5, 4) == random_frame(42, 5, 4)
     assert random_frame(42) != random_frame(43)
@@ -83,8 +91,30 @@ def test_all_checkers_pass_on_random_frames():
             assert outcome.passed, (seed, outcome.check, outcome.detail)
 
 
+def test_run_all_checks_builds_the_min_dense_planes_four_times(monkeypatch):
+    # for the d mass table, the allocation laws and the d column under each
+    # of the one ds and one sd frame that every check shares
+    calls = []
+    planes = fusion_module._min_dense_planes
+
+    def counted(frame):
+        calls.append(frame)
+        return planes(frame)
+
+    monkeypatch.setattr(fusion_module, "_min_dense_planes", counted)
+    fusion_module._image_numerators.cache_clear()
+    try:
+        for seed in range(5):
+            calls.clear()
+            outcomes = run_all_checks(random_frame(seed, 8, 6))
+            assert all(o.passed for o in outcomes)
+            assert len(calls) == 4, seed
+    finally:
+        fusion_module._image_numerators.cache_clear()
+
+
 def test_outcome_json_shape(car):
-    outcome = check_drc_equivalence(car)
+    outcome = _drc(car)
     doc = outcome.to_json()
     assert set(doc) == {"check", "frame", "detail"}
     assert doc["check"] == "drc_equivalence"
@@ -163,7 +193,7 @@ def test_drc_checker_detects_corrupted_oracle(car, monkeypatch):
     monkeypatch.setattr(
         verify_module, "belief_from_bpa", lambda m, p: Fraction(0)
     )
-    outcome = check_drc_equivalence(car)
+    outcome = _drc(car)
     assert not outcome.passed
     assert "proposition" in outcome.detail
 
@@ -172,7 +202,7 @@ def test_topological_checker_detects_corrupted_operator(car, monkeypatch):
     monkeypatch.setattr(
         verify_module, "topological_belief", lambda frame, p: True
     )
-    outcome = check_topological_equivalence(car)
+    outcome = _topological(car)
     assert not outcome.passed
 
 
@@ -202,8 +232,8 @@ def test_min_dense_checker_depends_on_dense_bits(car, monkeypatch, mutation, rea
 
 def test_checkers_stay_green_without_mutation(car):
     # guard for the monkeypatched tests above: the unpatched checkers pass
-    assert check_drc_equivalence(car).passed
-    assert check_topological_equivalence(car).passed
+    assert _drc(car).passed
+    assert _topological(car).passed
     assert check_minimum_dense_open(car).passed
     assert check_allocation_definition(
         car, [INTERSECTION, UNION, MIN_DENSE]
@@ -265,8 +295,8 @@ def test_atom_sweeps_report_the_full_sweeps_outcome(car, monkeypatch, mutation):
     if mutation is not None:
         monkeypatch.setattr(verify_module, *mutation)
     for frame in [car] + [random_frame(seed) for seed in range(200)]:
-        assert check_drc_equivalence(frame) == _full_drc_sweep(frame)
-        assert check_topological_equivalence(frame) == _full_topological_sweep(frame)
+        assert _drc(frame) == _full_drc_sweep(frame)
+        assert _topological(frame) == _full_topological_sweep(frame)
 
 
 def _halve_first_certainty(frame):
@@ -312,8 +342,8 @@ def test_generator_sweeps_report_the_full_sweeps_outcome_under_mutation(
         failed = 0
         for seed in range(300):
             frame = random_frame(seed, 7, 5)
-            drc = check_drc_equivalence(frame)
-            topological = check_topological_equivalence(frame)
+            drc = _drc(frame)
+            topological = _topological(frame)
             assert drc == _full_drc_sweep(frame), seed
             assert topological == _full_topological_sweep(frame), seed
             failed += not (drc.passed and topological.passed)
