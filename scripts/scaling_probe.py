@@ -7,8 +7,11 @@ works on bit planes over all 2^m evidence families, about (distinct
 signatures)^2 operations on 2^m-bit ints, so each extra item still doubles
 its cost, but in word-parallel steps. One ``belief(d, sd, P)`` call and a
 ``d`` report under the custom frame ``[S]`` read the same planes, and are
-timed at 14, 16 and 18 items. The ``d`` lines from 18 to 24 items also give
-the peak resident memory of the process so far. The ``verify`` lines time every
+timed at 14, 16 and 18 items. The ``d image table`` lines time
+``allocated_mass_table`` for ``d`` at 16, 18 and 20 items, which reads every
+family's image off the planes and then sums the 2^m family masses once. They
+and the ``d`` lines from 18 to 24 items also give the peak resident memory of
+the process so far. The ``verify`` lines time every
 checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12, 16 x 14 and 28 x 8
 frames; the equivalence checks visit only the sets that generate their two
 sides, the allocation laws are checked on family planes, the merged-mass
@@ -40,6 +43,7 @@ from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
     UNION,
+    allocated_mass_table,
     belief,
     belief_report,
     justification_frame,
@@ -56,6 +60,11 @@ def _time_report(frame, alloc, kind="sd", members=None) -> float:
     justification = justification_frame(frame, kind, members)
     belief_report(frame, [alloc], justification, [_proposition(frame)])
     return time.perf_counter() - start
+
+
+def _peak_mb() -> float:
+    """Peak resident memory of the process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _time_belief(frame) -> float:
@@ -78,10 +87,16 @@ def main() -> int:
         seconds = _time_report(frame, MIN_DENSE, "custom", [frame.universe.full_set()])
         print(f"items={items:2d}  d under custom [S]  {seconds:7.3f}s")
 
+    for items in (16, 18, 20):
+        frame = fixed_shape_frame(7, states, items)
+        start = time.perf_counter()
+        allocated_mass_table(frame, MIN_DENSE)
+        seconds = time.perf_counter() - start
+        print(f"items={items:2d}  d image table  {seconds:7.3f}s  peak RSS {_peak_mb():6.1f} MB")
+
     for items in (18, 20, 22, 24):
         seconds = _time_report(fixed_shape_frame(0, states, items), MIN_DENSE)
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"items={items:2d}  d  {seconds:7.3f}s  peak RSS {peak_mb:6.1f} MB")
+        print(f"items={items:2d}  d  {seconds:7.3f}s  peak RSS {_peak_mb():6.1f} MB")
 
     for seed, size, items in ((1, 30, 3), (1, 20, 4), (1, 16, 6), (1, 24, 6),
                               (1, 16, 12), (1, 16, 14), (5, 28, 8)):

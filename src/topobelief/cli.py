@@ -21,7 +21,8 @@ from pathlib import Path
 from .core import StateSet, render_decimal
 from .demo import car_frame, car_reports
 from .errors import CapacityExceeded, MalformedDocument, TopobeliefError
-from .evidence import QuantitativeEvidenceFrame, load_frame, serialize_frame
+from .evidence import (QuantitativeEvidenceFrame, load_frame, require_keys, require_list,
+                       serialize_frame)
 from .fusion import (
     Allocator,
     BUILTIN_ALLOCATORS,
@@ -92,21 +93,15 @@ def _read_json(path: str, what: str):
 
 
 def _load_allocator_table(path: str, frame: QuantitativeEvidenceFrame) -> Allocator:
-    obj = _read_json(path, "allocator table")
-    if not isinstance(obj, dict) or set(obj) != {"map"} or not isinstance(obj["map"], list):
-        raise MalformedDocument('allocator table must be {"map": [...]}')
+    obj = require_keys(_read_json(path, "allocator table"), {"map"}, "allocator table")
     mapping = {}
-    for entry in obj["map"]:
-        if not isinstance(entry, dict) or set(entry) != {"evidence", "image"}:
-            raise MalformedDocument(
-                'allocator table entries must be {"evidence": [...], "image": [...]}'
-            )
-        subset = frame.subset(entry["evidence"])
-        image = frame.universe.subset(entry["image"])
+    for entry in require_list(obj["map"], 'allocator table "map"'):
+        require_keys(entry, {"evidence", "image"}, "allocator table entry")
+        evidence = require_list(entry["evidence"], 'entry "evidence"', names=True)
+        subset = frame.subset(evidence)
+        image = frame.universe.subset(require_list(entry["image"], 'entry "image"', names=True))
         if subset in mapping:
-            raise MalformedDocument(
-                f"allocator table lists evidence subset {entry['evidence']} twice"
-            )
+            raise MalformedDocument(f"allocator table lists evidence subset {evidence} twice")
         mapping[subset] = image
     return custom_allocator(frame, mapping)
 
@@ -116,14 +111,10 @@ def _parse_justification(selector: str, frame: QuantitativeEvidenceFrame):
         return justification_frame(frame, selector)
     if selector.startswith("custom:"):
         path = selector[len("custom:"):]
-        obj = _read_json(path, "justification frame")
-        if (
-            not isinstance(obj, dict)
-            or set(obj) != {"opens"}
-            or not isinstance(obj["opens"], list)
-        ):
-            raise MalformedDocument('justification frame must be {"opens": [...]}')
-        members = [frame.universe.subset(names) for names in obj["opens"]]
+        obj = require_keys(_read_json(path, "justification frame"), {"opens"},
+                           "justification frame")
+        members = [frame.universe.subset(require_list(names, "an open", names=True))
+                   for names in require_list(obj["opens"], 'justification frame "opens"')]
         return justification_frame(frame, "custom", members)
     raise UsageError(
         f"unknown justification {selector!r}; use ds, sd or custom:<path>"

@@ -57,6 +57,10 @@ class FrameMismatch(TopobeliefError):
     pass
 
 
+class UnknownEvidence(TopobeliefError):
+    pass
+
+
 class EmptyEvidenceList(TopobeliefError):
     pass
 

@@ -29,6 +29,7 @@ from .errors import (
     FullSetEvidence,
     MalformedDocument,
     UniverseMismatch,
+    UnknownEvidence,
     Violation,
 )
 from .topology import minimal_open_neighborhoods, signature_atoms
@@ -75,7 +76,7 @@ class QuantitativeEvidenceFrame:
         for i, item in enumerate(self.items):
             if item.name == name:
                 return i
-        raise KeyError(f"no evidence named {name!r}")
+        raise UnknownEvidence(f"no evidence named {name!r}")
 
     def subset(self, names: Iterable[str]) -> "EvidenceSubset":
         mask = 0
@@ -232,7 +233,14 @@ _ERROR_BY_CODE = {
 }
 
 
-def _require_keys(obj: dict, keys: set[str], where: str) -> None:
+# a certainty in (0, 1) with at most 100 denominator digits is written in at most 334
+# characters, and 24 such denominators multiply to under CPython's 4,300-digit limit
+MAX_CERTAINTY_DIGITS = 100
+_MAX_CERTAINTY_CHARS = 400
+
+
+def require_keys(obj, keys: set[str], where: str) -> dict:
+    """``obj`` if it is an object with exactly ``keys``; else ``MalformedDocument``."""
     if not isinstance(obj, dict):
         raise MalformedDocument(f"{where} must be an object")
     missing = keys - obj.keys()
@@ -241,6 +249,14 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
         raise MalformedDocument(f"{where} misses keys {sorted(missing)}")
     if extra:
         raise MalformedDocument(f"{where} has unknown keys {sorted(extra)}")
+    return obj
+
+
+def require_list(value, where: str, names: bool = False) -> list:
+    """``value`` if it is a list, of strings when ``names``; else ``MalformedDocument``."""
+    if not isinstance(value, list) or names and not all(isinstance(v, str) for v in value):
+        raise MalformedDocument(f"{where} must be a list{' of strings' if names else ''}")
+    return value
 
 
 def parse_frame(document: str) -> QuantitativeEvidenceFrame:
@@ -249,33 +265,33 @@ def parse_frame(document: str) -> QuantitativeEvidenceFrame:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from None
-    _require_keys(obj, {"states", "evidence"}, "frame document")
-    states = obj["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise MalformedDocument('"states" must be a list of strings')
-    universe = make_universe(states)
-    raw_items = obj["evidence"]
-    if not isinstance(raw_items, list):
-        raise MalformedDocument('"evidence" must be a list')
+    require_keys(obj, {"states", "evidence"}, "frame document")
+    universe = make_universe(require_list(obj["states"], '"states"', names=True))
+    raw_items = require_list(obj["evidence"], '"evidence"')
     if not raw_items:
         raise EmptyEvidence("frame holds no evidence items")
     items = []
     for raw in raw_items:
-        _require_keys(raw, {"name", "states", "certainty"}, "evidence item")
-        if not isinstance(raw["name"], str) or not raw["name"]:
+        require_keys(raw, {"name", "states", "certainty"}, "evidence item")
+        name, text = raw["name"], raw["certainty"]
+        if not isinstance(name, str) or not name:
             raise MalformedDocument("evidence name must be a non-empty string")
-        if not isinstance(raw["states"], list):
-            raise MalformedDocument('evidence "states" must be a list')
-        if not isinstance(raw["certainty"], str):
+        states = require_list(raw["states"], 'evidence "states"', names=True)
+        if not isinstance(text, str):
             raise MalformedDocument(
                 "certainty must be a string (decimal or n/d) so parsing stays exact"
             )
-        content = universe.subset(raw["states"])
+        content = universe.subset(states)
         try:
-            certainty = parse_rational(raw["certainty"])
+            certainty = parse_rational(text) if len(text) <= _MAX_CERTAINTY_CHARS else None
         except ValueError as exc:
             raise MalformedDocument(str(exc)) from None
-        items.append(EvidenceItem(raw["name"], content, certainty))
+        if certainty is None or certainty.denominator >= 10**MAX_CERTAINTY_DIGITS:
+            raise MalformedDocument(
+                f"certainty of {name!r} exceeds {MAX_CERTAINTY_DIGITS} digits in its "
+                f"reduced denominator or {_MAX_CERTAINTY_CHARS} characters"
+            )
+        items.append(EvidenceItem(name, content, certainty))
     frame = QuantitativeEvidenceFrame(universe, tuple(items))
     for violation in validate_frame(frame):
         raise _ERROR_BY_CODE[violation.code](violation.message)

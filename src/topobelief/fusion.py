@@ -25,11 +25,12 @@ Xeon under Python 3.11 (``scripts/scaling_probe.py``). Beliefs, their
 normalisation and the bpa are all read from one justified column per
 (allocator, justification frame), ``_column``. ``validate_allocators``
 checks the allocation laws on the same kind of planes, one per allocator and
-atom, in about (atoms)^2 Boolean operations on 2^m-bit ints. Custom tables
-and the per-subset listings (``mass_table``, ``allocate`` over every subset)
-enumerate all 2^m evidence subsets. Every path rejects arities above
-``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded`` rather than silently
-hanging.
+atom, in about (atoms)^2 Boolean operations on 2^m-bit ints. Custom tables,
+the ``d`` image table of ``allocated_mass_table`` (each family's image read
+off the planes) and the per-subset listings (``mass_table``, ``allocate``
+over every subset) enumerate all 2^m evidence subsets. Every path rejects
+arities above ``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded`` rather
+than silently hanging.
 """
 
 from __future__ import annotations
@@ -310,6 +311,11 @@ def _avoider(arity: int) -> Callable[[int], int]:
     return avoid
 
 
+def _set_bits(plane: int) -> list[int]:
+    """The set bits of a plane, ascending."""
+    return [k for k, bit in enumerate(reversed(format(plane, "b"))) if bit == "1"]
+
+
 def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]:
     """``(states, plane)`` per atom of evidence signature σ: the states of
     signature σ, and the families whose min-dense image holds them.
@@ -341,23 +347,6 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
     return [(states, plane) for (states, _), plane in zip(atoms, planes)]
 
 
-def _min_dense_images(frame: QuantitativeEvidenceFrame) -> dict[int, int]:
-    """Min-dense image numerators: the families are split by each signature
-    plane in turn, so every leaf holds the families of one image."""
-    leaves = [(0, (1 << (1 << frame.arity)) - 1)]
-    for states, plane in _min_dense_planes(frame):
-        split = []
-        for image, families in leaves:
-            inside = families & plane
-            if inside:
-                split.append((image | states, inside))
-            if inside != families:
-                split.append((image, families ^ inside))
-        leaves = split
-    weigh = _family_weigher(frame)
-    return {image: weigh(families) for image, families in leaves}
-
-
 @lru_cache(maxsize=256)
 def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     """Mass numerators gathered by each image, over the common denominator.
@@ -365,12 +354,12 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     Returns ``(acc, den)`` with ``acc`` mapping image bits to numerators; an
     image appears iff some evidence subset maps to it, even at zero mass.
     Intersection and union fold the items in; Yager is the intersection table
-    with the mass on the empty set moved to S. Min-dense splits the families
-    by its signature planes, about (distinct signatures)^2 operations on
-    2^m-bit ints plus one weight per image; only ``allocated_mass_table``
-    and ``allocated_mass`` need that table, since ``_column`` reads the
-    planes themselves. Custom tables enumerate all 2^m subsets over the
-    meet-in-the-middle half tables.
+    with the mass on the empty set moved to S. Min-dense reads each family's
+    image off its signature planes, the union of the states of the planes
+    that hold it; only ``allocated_mass_table`` and ``allocated_mass`` need
+    that table, since ``_column`` reads the planes themselves. Min-dense and
+    custom tables then enumerate all 2^m subsets over the meet-in-the-middle
+    half tables.
     """
     kind = allocator.kind
     _check_capacity(frame, _PLANES if kind is AllocatorKind.MIN_DENSE
@@ -385,10 +374,14 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
         return (_fold_numerators(frame, kind is AllocatorKind.UNION),
                 _common_denominator(frame))
     if kind is AllocatorKind.MIN_DENSE:
-        return _min_dense_images(frame), _common_denominator(frame)
+        table = [0] * (1 << frame.arity)
+        for states, plane in _min_dense_planes(frame):
+            for family in _set_bits(plane):
+                table[family] |= states
+    else:
+        table = allocator.table
     lo, hi, half, den = _half_tables(frame)
     lomask = (1 << half) - 1
-    table = allocator.table
     acc: dict[int, int] = {}
     for mask in range(1 << frame.arity):
         num = lo[mask & lomask] * hi[mask >> half]
@@ -715,11 +708,6 @@ def _allocation_planes(
             empty &= ~plane
         planes = [plane | empty for plane in planes]
     return [(states, plane) for (states, _), plane in zip(atoms, planes)]
-
-
-def _set_bits(plane: int) -> list[int]:
-    """The set bits of a plane, ascending."""
-    return [k for k, bit in enumerate(reversed(format(plane, "b"))) if bit == "1"]
 
 
 _LAW_MESSAGES = {

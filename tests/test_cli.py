@@ -206,6 +206,41 @@ def test_custom_justification_file(capsys, car_path, tmp_path):
     assert Fraction(cell["num"], cell["den"]) == Fraction(243, 254)
 
 
+@pytest.mark.parametrize("option, document, error", [
+    ("--alloc", {"map": [{"evidence": ["E9"], "image": ["sp"]}]},
+     "UnknownEvidence: no evidence named 'E9'"),
+    # a string is not read as the list of its characters
+    ("--alloc", {"map": [{"evidence": "E1", "image": ["sp"]}]},
+     'MalformedDocument: entry "evidence" must be a list of strings'),
+    ("--justification", {"opens": [["sp", "dp", "do", "so", "dm", "sm"], 5]},
+     "MalformedDocument: an open must be a list of strings"),
+    ("--justification", {"opens": ["sp"]},
+     "MalformedDocument: an open must be a list of strings"),
+], ids=["unknown-evidence", "evidence-string", "open-number", "open-string"])
+def test_malformed_custom_documents_exit_2_with_one_error_line(
+        capsys, car_path, tmp_path, option, document, error):
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "believe", "--frame", car_path, option, f"custom:{path}")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_exact_outputs_render_at_the_certainty_limit(capsys, tmp_path):
+    # 24 items with 100-digit denominators: every exact value stays below
+    # CPython's 4,300-digit limit on int-to-str conversion
+    universe = make_universe([f"s{k}" for k in range(6)])
+    frame = QuantitativeEvidenceFrame(universe, tuple(
+        EvidenceItem(f"E{i + 1}", StateSet(universe, 1 << i % 5 | 1 << (i + 1) % 5),
+                     Fraction(i + 1, 10**99 + i)) for i in range(24)))
+    path = tmp_path / "frame.json"
+    path.write_text(serialize_frame(frame), encoding="utf-8")
+    for output in (["--exact"], ["--output", "json"]):
+        code, out, err = run(capsys, "believe", "--frame", str(path), "--alloc", "i,u",
+                             "--props", "s0,s1", *output)
+        assert (code, err) == (0, "")
+        assert out
+
+
 def test_custom_justification_missing_total_set(capsys, car_path, tmp_path):
     path = tmp_path / "frame.json"
     path.write_text(json.dumps({"opens": [["dp", "dm"]]}), encoding="utf-8")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topobelief.core import format_rational
 from topobelief.errors import (
     CertaintyOutOfRange,
     DuplicateName,
@@ -131,6 +132,37 @@ def test_parse_accepts_ratio_certainty():
     d["evidence"][0]["certainty"] = "9/10"
     frame = parse_frame(json.dumps(d))
     assert frame.items[0].certainty == Fraction(9, 10)
+
+
+# 1/5^143 and 3/2^332 are the finite decimals with the most places (143 and
+# 332) whose reduced denominator has at most 100 digits
+@pytest.mark.parametrize("certainty", [
+    Fraction(1, 10**100 - 1), Fraction(10**100 - 2, 10**100 - 1),
+    Fraction(1, 5**143), Fraction(3, 2**332),
+], ids=["ratio", "ratio-near-1", "decimal-5^143", "decimal-2^332"])
+def test_parse_admits_certainties_with_100_digit_denominators(certainty):
+    d = json.loads(doc())
+    d["evidence"][1]["certainty"] = format_rational(certainty)
+    frame = parse_frame(json.dumps(d))
+    assert frame.items[1].certainty == certainty
+    text = serialize_frame(frame)
+    assert parse_frame(text) == frame
+    assert serialize_frame(parse_frame(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    "1/1" + "0" * 100, "0." + "3" * 101, format_rational(Fraction(1, 2**333)),
+    # past CPython's 4,300-digit limit on int() from a string
+    "0." + "3" * 20_000, "1/" + "7" * 20_000,
+], ids=["ratio-101-digits", "decimal-102-digits", "decimal-2^333", "decimal-20000-digits",
+        "ratio-20000-digits"])
+def test_parse_rejects_certainties_past_100_digit_denominators(text):
+    d = json.loads(doc())
+    d["evidence"][1]["certainty"] = text
+    with pytest.raises(MalformedDocument) as info:
+        parse_frame(json.dumps(d))
+    assert str(info.value) == ("certainty of 'E2' exceeds 100 digits in its reduced "
+                               "denominator or 400 characters")
 
 
 def test_roundtrip_car():

@@ -411,7 +411,7 @@ def _min_dense_corpus():
     )
 
 
-def test_min_dense_images_equal_per_subset_reference():
+def test_min_dense_image_table_equals_per_subset_reference():
     for frame in _min_dense_corpus():
         reference = {}
         for subset in frame.all_subsets():
@@ -609,6 +609,14 @@ def test_min_dense_belief_on_eighteen_items_is_bounded():
     start = time.perf_counter()
     belief(frame, MIN_DENSE, justification_frame(frame, "sd"), proposition)
     assert time.perf_counter() - start < 2.0
+
+
+def test_min_dense_image_table_on_eighteen_items_is_bounded():
+    # about 3 s when each image's families were weighed over all 2^18 families
+    frame = fixed_shape_frame(7, 16, 18)
+    start = time.perf_counter()
+    allocated_mass_table(frame, MIN_DENSE)
+    assert time.perf_counter() - start < 1.5
 
 
 @pytest.mark.parametrize("kind", ["ds", "sd"])
