@@ -12,11 +12,12 @@ Bridging layer: an allocation function maps each evidence subset to an open;
 its mass lands there, is renormalised over the justification frame, and
 belief in a proposition is the mass of the frame members inside it.
 
-Cost: the intersection, union and Yager aggregations fold the items in one
-at a time over a table keyed by the running intersection or union, so they
-take O(m x distinct images) for m items. The min-dense allocator works on bit
-planes: sets of evidence families held as 2^m-bit ints, one plane per
-distinct evidence signature. Building them takes about (distinct
+Cost: the intersection and union aggregations fold the items in one at a
+time over a table keyed by the running intersection or union, so they take
+O(m x distinct images) for m items; Yager's column is the intersection
+column with the mass at the empty image moved to S. The min-dense allocator
+works on bit planes: sets of evidence families held as 2^m-bit ints, one
+plane per distinct evidence signature. Building them takes about (distinct
 signatures)^2 Boolean operations on 2^m-bit ints; each belief, under ``ds``,
 ``sd`` or a custom frame, then needs one weight (a table lookup and a product
 per byte of a plane), and the captured mass one more. At 16 states and 16
@@ -31,6 +32,12 @@ off the planes) and the per-subset listings (``mass_table``, ``allocate``
 over every subset) enumerate all 2^m evidence subsets. Every path rejects
 arities above ``MAX_ENUM_ITEMS`` up front with ``CapacityExceeded`` rather
 than silently hanging.
+
+Memory: the image tables (``_image_numerators``) and the half tables
+(``_half_tables``) sit in lru caches sized to one request: ``verify`` builds
+three image tables and one pair of half tables, an ``i,u,yager`` report two
+image tables. A long-running process thus holds the tables of its last
+request or two, not of hundreds of earlier frames.
 """
 
 from __future__ import annotations
@@ -116,12 +123,13 @@ def _products(items) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def _half_tables(frame: QuantitativeEvidenceFrame):
     """Meet-in-the-middle tables of mass numerators.
 
     Masses are integer numerators over the common denominator (the product of
     all certainty denominators), which keeps the hot loop in machine-int land.
+    One request builds them for one frame; the cache holds two.
     """
     half = frame.arity // 2
     return (_products(frame.items[:half]), _products(frame.items[half:]), half,
@@ -347,19 +355,25 @@ def _min_dense_planes(frame: QuantitativeEvidenceFrame) -> list[tuple[int, int]]
     return [(states, plane) for (states, _), plane in zip(atoms, planes)]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     """Mass numerators gathered by each image, over the common denominator.
 
     Returns ``(acc, den)`` with ``acc`` mapping image bits to numerators; an
     image appears iff some evidence subset maps to it, even at zero mass.
     Intersection and union fold the items in; Yager is the intersection table
-    with the mass on the empty set moved to S. Min-dense reads each family's
+    with the mass on the empty set moved to S, a table that only
+    ``allocated_mass_table`` and ``allocated_mass`` ask for, since ``_column``
+    reads Yager off the intersection column. Min-dense reads each family's
     image off its signature planes, the union of the states of the planes
     that hold it; only ``allocated_mass_table`` and ``allocated_mass`` need
     that table, since ``_column`` reads the planes themselves. Min-dense and
     custom tables then enumerate all 2^m subsets over the meet-in-the-middle
     half tables.
+
+    The cache holds the four builtin tables of two frames, more than one
+    request builds (``verify`` builds ``i``, ``u`` and ``d``), so a process
+    keeps no tables of frames it is done with.
     """
     kind = allocator.kind
     _check_capacity(frame, _PLANES if kind is AllocatorKind.MIN_DENSE
@@ -549,6 +563,12 @@ def _column(
     family lies in every plane, so it counts only at S; only it reaches the
     uncovered states.
 
+    Builtin ``yager`` is the ``i`` column of the same justification frame
+    with the conflict, the ``i`` mass at the empty image, moved to S: no
+    frame holds the empty set, every frame holds S, and S lies inside a
+    proposition P only when P = S, so the conflict adds to ``captured``, to
+    ``at(S)`` and to ``inside(S)`` and to nothing else.
+
     Every other column keeps the numerators of ``_image_numerators`` whose
     image the frame accepts. Builtin images are open (allocation law 2), so
     under ``ds`` or ``sd`` a builtin column skips the openness test: ``ds``
@@ -605,16 +625,30 @@ def _column(
 
         column = _Column(_common_denominator(frame), weigh(kept), inside,
                          lambda bits: weigh(exact(kept, bits)))
+    elif allocator.kind is AllocatorKind.YAGER:
+        base = _column(frame, INTERSECTION, justification)
+        conflict = _image_numerators(frame, INTERSECTION)[0].get(0, 0)
+        full = frame.universe.full_bits
+
+        def moved(bits: int) -> int:
+            return conflict if bits == full else 0
+
+        column = _Column(base.den, base.captured + conflict,
+                         lambda bits: base.inside(bits) + moved(bits),
+                         lambda bits: base.at(bits) + moved(bits))
     else:
         acc, den = _image_numerators(frame, allocator)
         if (allocator.kind is AllocatorKind.CUSTOM
                 or justification.kind is JustificationKind.CUSTOM):
             keep = justification.contains_bits
+            kept = {bits: num for bits, num in acc.items() if keep(bits)}
         elif justification.kind is JustificationKind.DS:
-            keep = bool  # builtin images are open: keep the non-empty ones
+            # builtin images are open: keep the non-empty ones
+            kept = dict(acc)
+            kept.pop(0, None)
         else:
-            keep = frame.dense_bits
-        kept = {bits: num for bits, num in acc.items() if keep(bits)}
+            dense = frame.dense_bits
+            kept = {bits: num for bits, num in acc.items() if dense(bits)}
 
         def inside(bits: int) -> int:
             outside = ~bits

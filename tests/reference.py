@@ -6,7 +6,7 @@ from __future__ import annotations
 from topobelief.core import StateSet, canonical_key
 from topobelief.errors import Violation
 from topobelief.evidence import EvidenceSubset, QuantitativeEvidenceFrame
-from topobelief.fusion import allocate
+from topobelief.fusion import YAGER, allocate, allocated_mass_table
 from topobelief.topology import Topology
 
 
@@ -79,3 +79,15 @@ def validate_allocators_by_sweep(frame, allocators) -> list[Violation]:
                         )
                     )
     return report
+
+
+def yager_column_by_table(frame, justification, propositions):
+    """Yager's justified column as its own image table filtered by frame
+    membership: the belief in each proposition, the normalisation factor,
+    and the justified mass of each kept image."""
+    kept = {s: v for s, v in allocated_mass_table(frame, YAGER).items()
+            if justification.contains(s)}
+    captured = sum(kept.values())
+    beliefs = [sum(v for s, v in kept.items() if s.issubset(p)) / captured
+               for p in propositions]
+    return beliefs, captured, {s: v / captured for s, v in kept.items()}

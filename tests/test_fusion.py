@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -46,7 +48,7 @@ from topobelief.fusion import (
 from topobelief.topology import generate_topology, is_dense
 from topobelief.verify import fixed_shape_frame, random_frame
 import topobelief.fusion as fusion_module
-from reference import validate_allocators_by_sweep
+from reference import validate_allocators_by_sweep, yager_column_by_table
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
@@ -693,6 +695,61 @@ def test_column_needs_the_justification_frames_own_evidence_frame(kind):
                 == belief(own, alloc, justification_frame(own, kind), p), (alloc.label, p)
         # both frames read the one column kept on the justification frame
         assert _column(equal, alloc, justification) is _column(own, alloc, justification)
+
+
+@pytest.mark.parametrize("kind", ["ds", "sd", "custom"])
+def test_yager_column_equals_its_image_table_filtered_by_the_frame(car, kind):
+    # the column is the i column plus the conflict mass at S; the reference
+    # filters the yager image table itself
+    conflicted = 0
+    for n, frame in enumerate([car] + [random_frame(seed, 8, 6) for seed in range(300)]):
+        u = frame.universe
+        jf = (_random_custom_frame(frame, n) if kind == "custom"
+              else justification_frame(frame, kind))
+        props = [StateSet(u, bits) for bits in range(u.full_bits + 1)]
+        beliefs, captured, masses = yager_column_by_table(frame, jf, props)
+        report = belief_report(frame, [YAGER], jf, props)
+        assert [row[0] for row in report.beliefs] == beliefs, n
+        assert [belief(frame, YAGER, jf, p) for p in props] == beliefs, n
+        assert report.normalization[0] == normalization_factor(frame, YAGER, jf) == captured
+        for s in allocated_mass_table(frame, YAGER):
+            assert justified_mass(frame, YAGER, jf, s) == masses.get(s, 0), (n, s)
+        assert report.uncertainty[0] == masses[u.full_set()], n
+        conflicted += 0 in _image_numerators(frame, INTERSECTION)[0]
+    assert conflicted > 100
+
+
+def test_i_u_yager_reports_build_two_image_tables():
+    # yager reads the i table, and the ds and sd reports share both tables
+    frame = fixed_shape_frame(0, 32, 15)
+    fusion_module._image_numerators.cache_clear()
+    for kind in ("ds", "sd"):
+        belief_report(frame, [INTERSECTION, UNION, YAGER], justification_frame(frame, kind),
+                      [frame.universe.full_set()])
+    assert fusion_module._image_numerators.cache_info().misses == 2
+
+
+def test_fusion_caches_hold_no_tables_of_earlier_frames():
+    # the lru caches hold one request's tables, so the memory that stays
+    # allocated after reports on 100 frames does not grow with the frames;
+    # caches of 256 image tables would keep about 15 MB
+    fusion_module._image_numerators.cache_clear()
+    fusion_module._half_tables.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for seed in range(100):
+            frame = fixed_shape_frame(seed, 32, 15)
+            for kind in ("ds", "sd"):
+                belief_report(frame, [INTERSECTION, UNION, YAGER],
+                              justification_frame(frame, kind), [frame.universe.full_set()])
+        del frame
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 2**20
 
 
 # -- normalization, justified mass, belief -------------------------------------------

@@ -113,6 +113,16 @@ def test_run_all_checks_builds_the_min_dense_planes_four_times(monkeypatch):
         fusion_module._image_numerators.cache_clear()
 
 
+def test_run_all_checks_builds_each_table_once(car):
+    # the i, u and d image tables and one pair of half tables, all of which
+    # the lru caches hold for the whole run
+    fusion_module._image_numerators.cache_clear()
+    fusion_module._half_tables.cache_clear()
+    run_all_checks(car)
+    assert fusion_module._image_numerators.cache_info().misses == 3
+    assert fusion_module._half_tables.cache_info().misses == 1
+
+
 def test_outcome_json_shape(car):
     outcome = _drc(car)
     doc = outcome.to_json()
