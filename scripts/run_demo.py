@@ -9,7 +9,7 @@ from topobelief.cli import render_report
 from topobelief.core import render_decimal
 from topobelief.demo import car_frame, car_reports
 from topobelief.fusion import INTERSECTION, MIN_DENSE, UNION, allocate, mass_table
-from topobelief.topology import generate_topology, is_dense
+from topobelief.topology import generate_topology
 
 
 def main() -> int:
@@ -19,7 +19,7 @@ def main() -> int:
     print("== evidential topology ==")
     topo = generate_topology(universe, frame.contents())
     for o in topo.opens:
-        flag = "dense" if is_dense(o, topo) else ""
+        flag = "dense" if frame.dense_bits(o.bits) else ""
         print(f"  {{{','.join(o.members())}}} {flag}".rstrip())
 
     print("\n== merged masses over evidence subsets ==")

@@ -13,13 +13,9 @@ from .core import (
     StateUniverse,
     canonical_key,
     format_rational,
-    intersect_all,
-    is_subset,
-    make_state_set,
     make_universe,
     parse_rational,
     render_decimal,
-    union_all,
 )
 from .dst import (
     BasicProbabilityAssignment,
@@ -50,12 +46,10 @@ from .fusion import (
     UNION,
     YAGER,
     allocate,
-    allocated_mass,
     allocated_mass_table,
     belief,
     belief_report,
     custom_allocator,
-    evidence_mass,
     justification_frame,
     justified_mass,
     mass_table,
@@ -64,13 +58,9 @@ from .fusion import (
 )
 from .topology import (
     Topology,
-    arguments_for,
     generate_topology,
-    is_dense,
-    maximal_fip_families,
     min_dense,
     minimal_open_neighborhoods,
-    supports,
 )
 from .verify import (
     CheckOutcome,

@@ -71,13 +71,17 @@ def _parse_allocators(spec: str, frame: QuantitativeEvidenceFrame) -> list[Alloc
         if not token:
             continue
         if token in BUILTIN_ALLOCATORS:
-            out.append(BUILTIN_ALLOCATORS[token])
+            allocator = BUILTIN_ALLOCATORS[token]
         elif token.startswith("custom:"):
-            out.append(_load_allocator_table(token[len("custom:"):], frame))
+            allocator = _load_allocator_table(token[len("custom:"):], frame)
         else:
             raise UsageError(
                 f"unknown allocator {token!r}; use i, u, d, yager or custom:<path>"
             )
+        # reports key their JSON cells by label, so a repeated label loses a column
+        if any(a.label == allocator.label for a in out):
+            raise UsageError(f"allocator {allocator.label!r} is listed twice")
+        out.append(allocator)
     if not out:
         raise UsageError("allocator list is empty")
     return out

@@ -72,9 +72,6 @@ class StateUniverse:
     def empty_set(self) -> "StateSet":
         return StateSet(self, 0)
 
-    def from_bits(self, bits: int) -> "StateSet":
-        return StateSet(self, bits)
-
     def __repr__(self) -> str:
         return f"StateUniverse({','.join(self.labels)})"
 
@@ -109,13 +106,6 @@ class StateSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def intersects(self, other: "StateSet") -> bool:
-        self._check(other)
-        return self.bits & other.bits != 0
-
-    def complement(self) -> "StateSet":
-        return StateSet(self.universe, self.universe.full_bits & ~self.bits)
-
     def __and__(self, other: "StateSet") -> "StateSet":
         self._check(other)
         return StateSet(self.universe, self.bits & other.bits)
@@ -145,33 +135,6 @@ class StateSet:
 def make_universe(labels: Sequence[str]) -> StateUniverse:
     """Build a universe from distinct state names; order fixes bit positions."""
     return StateUniverse(tuple(labels))
-
-
-def make_state_set(universe: StateUniverse, names: Iterable[str]) -> StateSet:
-    """Build the subset holding exactly the named states (repeats are idempotent)."""
-    return universe.subset(names)
-
-
-def intersect_all(sets: Sequence[StateSet]) -> StateSet:
-    if not sets:
-        raise ValueError("intersect_all needs at least one set")
-    out = sets[0]
-    for s in sets[1:]:
-        out = out & s
-    return out
-
-
-def union_all(sets: Sequence[StateSet]) -> StateSet:
-    if not sets:
-        raise ValueError("union_all needs at least one set")
-    out = sets[0]
-    for s in sets[1:]:
-        out = out | s
-    return out
-
-
-def is_subset(a: StateSet, b: StateSet) -> bool:
-    return a.issubset(b)
 
 
 def canonical_key(s: StateSet) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping
 
-from .core import StateSet, StateUniverse, canonical_key
+from .core import StateSet, StateUniverse
 from .errors import FrameMismatch, IndexOutOfRange, TotalConflict, UniverseMismatch
 from .evidence import QuantitativeEvidenceFrame
 from .topology import min_dense
@@ -63,9 +63,6 @@ class BasicProbabilityAssignment:
 
     def mass(self, s: StateSet) -> Fraction:
         return self.focal.get(s, Fraction(0))
-
-    def focal_sets(self) -> tuple[StateSet, ...]:
-        return tuple(sorted(self.focal, key=canonical_key))
 
 
 def simple_support(

@@ -84,9 +84,6 @@ class QuantitativeEvidenceFrame:
             mask |= 1 << self.index_of(name)
         return EvidenceSubset(self, mask)
 
-    def subset_from_mask(self, mask: int) -> "EvidenceSubset":
-        return EvidenceSubset(self, mask)
-
     def all_subsets(self):
         for mask in range(1 << self.arity):
             yield EvidenceSubset(self, mask)

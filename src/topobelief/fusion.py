@@ -89,19 +89,6 @@ def _check_capacity(frame: QuantitativeEvidenceFrame, work: str | None = None) -
 
 # -- quantitative layer -------------------------------------------------------
 
-def evidence_mass(frame: QuantitativeEvidenceFrame, subset: EvidenceSubset) -> Fraction:
-    """Merged certainty of exactly this combination of evidence items.
-
-    The product of the certainties of the included items and the complements
-    of the excluded ones; over all subsets these values form a mass function.
-    """
-    check_same_frame(frame, subset)
-    value = Fraction(1)
-    for i, item in enumerate(frame.items):
-        value *= item.certainty if subset.mask >> i & 1 else 1 - item.certainty
-    return value
-
-
 def _common_denominator(frame: QuantitativeEvidenceFrame) -> int:
     """The product of all certainty denominators: every merged mass is an
     integer numerator over it."""
@@ -363,13 +350,12 @@ def _image_numerators(frame: QuantitativeEvidenceFrame, allocator: Allocator):
     image appears iff some evidence subset maps to it, even at zero mass.
     Intersection and union fold the items in; Yager is the intersection table
     with the mass on the empty set moved to S, a table that only
-    ``allocated_mass_table`` and ``allocated_mass`` ask for, since ``_column``
-    reads Yager off the intersection column. Min-dense reads each family's
-    image off its signature planes, the union of the states of the planes
-    that hold it; only ``allocated_mass_table`` and ``allocated_mass`` need
-    that table, since ``_column`` reads the planes themselves. Min-dense and
-    custom tables then enumerate all 2^m subsets over the meet-in-the-middle
-    half tables.
+    ``allocated_mass_table`` asks for, since ``_column`` reads Yager off the
+    intersection column. Min-dense reads each family's image off its
+    signature planes, the union of the states of the planes that hold it;
+    only ``allocated_mass_table`` needs that table, since ``_column`` reads
+    the planes themselves. Min-dense and custom tables then enumerate all
+    2^m subsets over the meet-in-the-middle half tables.
 
     The cache holds the four builtin tables of two frames, more than one
     request builds (``verify`` builds ``i``, ``u`` and ``d``), so a process
@@ -417,19 +403,6 @@ def allocated_mass_table(
         StateSet(universe, bits): Fraction(num, den)
         for bits, num in sorted(acc.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     }
-
-
-def allocated_mass(
-    frame: QuantitativeEvidenceFrame, allocator: Allocator, target: StateSet
-) -> Fraction:
-    """Total merged mass of the subsets the allocator sends to ``target``;
-    zero for sets outside the evidential topology."""
-    if target.universe != frame.universe:
-        raise FrameMismatch("target set lives in a different universe")
-    if not frame.is_open(target):
-        return Fraction(0)
-    acc, den = _image_numerators(frame, allocator)
-    return Fraction(acc.get(target.bits, 0), den)
 
 
 # -- qualitative layer: justification frames ----------------------------------

@@ -9,10 +9,9 @@ neighborhoods, up to ``MAX_OPENS`` opens.
 
 States with the same evidence signature (the set of generators containing
 them) lie in exactly the same opens. ``signature_atoms`` groups them into
-atoms in one pass, and ``min_dense`` and ``maximal_fip_families`` read the
-maximal signatures from it. Every open is a union of atoms, so whether an
-open lies inside a set depends only on the largest union of atoms inside
-that set.
+atoms in one pass, and ``min_dense`` reads the maximal signatures from it.
+Every open is a union of atoms, so whether an open lies inside a set depends
+only on the largest union of atoms inside that set.
 """
 
 from __future__ import annotations
@@ -72,27 +71,6 @@ def generate_topology(universe: StateUniverse, subbasis: Sequence[StateSet]) -> 
     return Topology(universe, tuple(members))
 
 
-def is_dense(p: StateSet, topology: Topology) -> bool:
-    """True iff ``p`` meets every non-empty open."""
-    if p.universe != topology.universe:
-        raise UniverseMismatch("proposition and topology use different universes")
-    return all(p.bits & o.bits for o in topology.opens if o.bits)
-
-
-def supports(evidence: StateSet, proposition: StateSet) -> bool:
-    """A piece of evidence supports a proposition iff it is contained in it."""
-    return evidence.issubset(proposition)
-
-
-def arguments_for(topology: Topology, proposition: StateSet) -> tuple[StateSet, ...]:
-    """All non-empty opens contained in the proposition, in canonical order."""
-    if proposition.universe != topology.universe:
-        raise UniverseMismatch("proposition and topology use different universes")
-    return tuple(
-        o for o in topology.opens if o.bits and o.bits & ~proposition.bits == 0
-    )
-
-
 def signature_atoms(universe: StateUniverse, sets: Sequence[StateSet]) -> dict[int, int]:
     """The atoms of the generated topology: each membership signature (a mask
     over ``sets``) mapped to the bits of the states that carry it, in the
@@ -113,24 +91,6 @@ def _maximal_signatures(atoms: dict[int, int]) -> list[int]:
     """The non-zero signatures that no other signature strictly contains."""
     sigs = [sig for sig in atoms if sig]
     return [s for s in sigs if not any(s != o and s & o == s for o in sigs)]
-
-
-def maximal_fip_families(evidence: Sequence[StateSet]) -> tuple[tuple[StateSet, ...], ...]:
-    """All subfamilies with non-empty intersection that no strict superfamily keeps.
-
-    A family with common point x is exactly the family of sets containing x,
-    once maximality forces it; so the maximal families are the maximal
-    per-state membership signatures. Families come back in ascending order of
-    their index mask, members in input order.
-    """
-    if not evidence:
-        raise EmptyEvidenceList("need at least one evidence set")
-    _check_universe(evidence[0].universe, evidence)
-    atoms = signature_atoms(evidence[0].universe, evidence)
-    maximal = sorted(_maximal_signatures(atoms))
-    return tuple(
-        tuple(e for i, e in enumerate(evidence) if mask >> i & 1) for mask in maximal
-    )
 
 
 def min_dense(evidence: Sequence[StateSet]) -> StateSet:

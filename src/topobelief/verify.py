@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import StateSet, StateUniverse, make_universe
 from .dst import belief_from_bpa, combine_evidence, topological_belief
@@ -67,11 +67,12 @@ def _fail(check: str, frame: QuantitativeEvidenceFrame | None = None, **detail) 
     return CheckOutcome(check, False, dict(detail), doc)
 
 
-def check_mass_axioms(values: Mapping) -> CheckOutcome:
-    """A mass function over any finite domain: values in [0, 1], total exactly 1."""
+def check_mass_axioms(values: Iterable[tuple[object, Fraction]]) -> CheckOutcome:
+    """A mass function over any finite domain, given as ``(key, value)`` pairs:
+    values in [0, 1], total exactly 1. Keys are only reported, never hashed."""
     name = "mass_axioms"
     total = Fraction(0)
-    for key, value in values.items():
+    for key, value in values:
         if not 0 <= value <= 1:
             return _fail(name, key=repr(key), value=str(value),
                          reason="value outside [0, 1]")
@@ -87,7 +88,7 @@ def check_bpa_axioms(values: Mapping[StateSet, Fraction]) -> CheckOutcome:
     for s, value in values.items():
         if s.is_empty() and value != 0:
             return _fail(name, value=str(value), reason="non-zero mass on the empty set")
-    inner = check_mass_axioms(values)
+    inner = check_mass_axioms(values.items())
     if not inner.passed:
         return _fail(name, **inner.detail)
     return _ok(name)
@@ -297,8 +298,7 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     outcomes: list[CheckOutcome] = []
     document = frame_to_document(frame)
 
-    masses = {subset: value for subset, value in mass_table(frame)}
-    outcome = check_mass_axioms(masses)
+    outcome = check_mass_axioms(mass_table(frame))
     outcomes.append(CheckOutcome("mass_axioms:merged", outcome.passed,
                                  outcome.detail, document))
 

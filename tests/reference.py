@@ -1,7 +1,10 @@
-"""Literal, per-subset forms of the pipeline's definitions, which the fast
-paths in the package are held to."""
+"""Literal, per-subset forms of the pipeline's definitions, and closed forms
+that share no code with it, which the fast paths in the package are held
+to."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from topobelief.core import StateSet, canonical_key
 from topobelief.errors import Violation
@@ -91,3 +94,79 @@ def yager_column_by_table(frame, justification, propositions):
     beliefs = [sum(v for s, v in kept.items() if s.issubset(p)) / captured
                for p in propositions]
     return beliefs, captured, {s: v / captured for s, v in kept.items()}
+
+
+def evidence_mass(frame, subset) -> Fraction:
+    """Merged certainty of exactly this combination of evidence items: the
+    product of the certainties of the included items and the complements of
+    the excluded ones."""
+    value = Fraction(1)
+    for i, item in enumerate(frame.items):
+        value *= item.certainty if subset.mask >> i & 1 else 1 - item.certainty
+    return value
+
+
+def is_dense(p, topology) -> bool:
+    """True iff ``p`` meets every non-empty open of the listed topology."""
+    return all(p.bits & o.bits for o in topology.opens if o.bits)
+
+
+def arguments_for(topology, proposition) -> tuple[StateSet, ...]:
+    """All non-empty opens contained in the proposition, in canonical order."""
+    return tuple(o for o in topology.opens if o.bits and o.bits & ~proposition.bits == 0)
+
+
+def maximal_fip_families(evidence) -> tuple[tuple[StateSet, ...], ...]:
+    """The subfamilies of ``evidence`` with a non-empty intersection that no
+    strict superfamily with a non-empty intersection contains, from that
+    definition: every index mask is tried. Families come back in ascending
+    order of their index mask, members in input order."""
+    full = evidence[0].universe.full_bits
+    fip = []
+    for mask in range(1, 1 << len(evidence)):
+        meet = full
+        for i, e in enumerate(evidence):
+            if mask >> i & 1:
+                meet &= e.bits
+        if meet:
+            fip.append(mask)
+    maximal = [m for m in fip if not any(o != m and m & o == m for o in fip)]
+    return tuple(tuple(e for i, e in enumerate(evidence) if mask >> i & 1)
+                 for mask in maximal)
+
+
+def union_belief_ds(frame, proposition) -> Fraction:
+    """The union allocator's belief under ``ds`` in closed form,
+
+        bel_u(P) = prod_{c_i not in P} (1 - p_i) - [P != S] prod_i (1 - p_i):
+
+    the chance that every included item's content lies inside P, less the
+    empty family (whose image is S) unless P = S. It assumes non-empty
+    contents, so that every other family has a non-empty image and ``ds``
+    keeps all the mass."""
+    inside = everything = Fraction(1)
+    for item in frame.items:
+        everything *= 1 - item.certainty
+        if item.content.bits & ~proposition.bits:
+            inside *= 1 - item.certainty
+    return inside if proposition.is_full() else inside - everything
+
+
+def yager_belief_ds(frame, proposition) -> Fraction:
+    """Yager's rule (Yager 1987) under ``ds``: the unnormalised conjunctive
+    combination of the simple supports, folded as exact masses keyed by state
+    bits, with the mass on the empty set moved to S. Every image is then a
+    non-empty open, so ``ds`` keeps all the mass and the belief in P is the
+    mass on the sets inside P."""
+    full = frame.universe.full_bits
+    masses = {full: Fraction(1)}
+    for item in frame.items:
+        grown: dict[int, Fraction] = {}
+        for bits, mass in masses.items():
+            for key, share in ((bits & item.content.bits, item.certainty),
+                               (bits, 1 - item.certainty)):
+                grown[key] = grown.get(key, 0) + mass * share
+        masses = grown
+    masses[full] += masses.pop(0, 0)
+    return sum((mass for bits, mass in masses.items() if not bits & ~proposition.bits),
+               Fraction(0))

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from reference import is_dense
 import topobelief.cli as cli
 from topobelief.core import StateSet, make_universe
 from topobelief.demo import car_frame
 from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame, serialize_frame
-from topobelief.topology import generate_topology, is_dense
+from topobelief.topology import generate_topology
 from topobelief.verify import CheckOutcome, fixed_shape_frame, random_frame
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -283,6 +284,34 @@ def test_custom_allocator_rejects_partial_table(capsys, car_path, tmp_path):
                        "--alloc", f"custom:{path}")
     assert code == 2
     assert "total map" in err
+
+
+def test_repeated_custom_allocator_label_exits_1(capsys, car_path, tmp_path):
+    # two custom tables share the label "custom", which keys the JSON cells
+    frame = car_frame()
+    from topobelief.fusion import INTERSECTION, UNION, allocate
+
+    paths = []
+    for alloc in (INTERSECTION, UNION):
+        entries = [{"evidence": list(subset.members()),
+                    "image": list(allocate(frame, alloc, subset).members())}
+                   for subset in frame.all_subsets()]
+        paths.append(tmp_path / f"{alloc.label}.json")
+        paths[-1].write_text(json.dumps({"map": entries}), encoding="utf-8")
+    spec = ",".join(f"custom:{path}" for path in paths)
+    for output in ("table", "json"):
+        code, out, err = run(capsys, "believe", "--frame", car_path, "--alloc", spec,
+                             "--props", "dp,do,dm", "--output", output)
+        assert (code, out) == (1, "")
+        assert "'custom' is listed twice" in err
+
+
+@pytest.mark.parametrize("command", ["believe", "allocate"])
+def test_repeated_builtin_allocator_exits_1(capsys, car_path, command):
+    code, out, err = run(capsys, command, "--frame", car_path, "--alloc", "i,u,i",
+                         "--output", "json")
+    assert (code, out) == (1, "")
+    assert "'i' is listed twice" in err
 
 
 def test_unknown_proposition_state_exits_2(capsys, car_path):

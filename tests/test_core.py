@@ -8,13 +8,9 @@ from hypothesis import given, strategies as st
 from topobelief.core import (
     StateSet,
     format_rational,
-    intersect_all,
-    is_subset,
-    make_state_set,
     make_universe,
     parse_rational,
     render_decimal,
-    union_all,
 )
 from topobelief.errors import (
     DuplicateLabel,
@@ -51,20 +47,20 @@ def test_make_universe_rejects_too_many():
 
 
 def test_make_state_set_members(car):
-    e1 = make_state_set(car.universe, ["dp", "dm", "do"])
+    e1 = car.universe.subset(["dp", "dm", "do"])
     assert e1.members() == ("dp", "do", "dm")  # bit order
     assert e1.size == 3
 
 
 def test_make_state_set_empty_and_idempotent(car):
     u = car.universe
-    assert make_state_set(u, []).is_empty()
-    assert make_state_set(u, ["dp", "dp"]) == make_state_set(u, ["dp"])
+    assert u.subset([]).is_empty()
+    assert u.subset(["dp", "dp"]) == u.subset(["dp"])
 
 
 def test_make_state_set_unknown(car):
     with pytest.raises(UnknownState):
-        make_state_set(car.universe, ["zz"])
+        car.universe.subset(["zz"])
 
 
 def test_set_algebra_car_examples(car):
@@ -72,17 +68,17 @@ def test_set_algebra_car_examples(car):
     e1 = u.subset(["dp", "dm", "do"])
     e2 = u.subset(["dm", "sm"])
     e3 = u.subset(["dp", "sp"])
-    assert intersect_all([e1, e2]) == u.subset(["dm"])
-    assert union_all([e2, e3]) == u.subset(["sp", "dp", "dm", "sm"])
-    assert intersect_all([e2, e3]).is_empty()
-    assert is_subset(u.subset(["dm"]), e1)
+    assert e1 & e2 == u.subset(["dm"])
+    assert e2 | e3 == u.subset(["sp", "dp", "dm", "sm"])
+    assert (e2 & e3).is_empty()
+    assert u.subset(["dm"]).issubset(e1)
 
 
 def test_universe_mismatch():
     a = make_universe(["a", "b"]).subset(["a"])
     b = make_universe(["x", "y"]).subset(["x"])
     with pytest.raises(UniverseMismatch):
-        intersect_all([a, b])
+        a & b
     with pytest.raises(UniverseMismatch):
         a.issubset(b)
 

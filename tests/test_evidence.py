@@ -18,6 +18,7 @@ from topobelief.errors import (
 )
 from topobelief.evidence import (
     EvidenceItem,
+    EvidenceSubset,
     QuantitativeEvidenceFrame,
     check_same_frame,
     parse_frame,
@@ -217,4 +218,4 @@ def test_evidence_subset_helpers(car):
 def test_check_same_frame_rejects_other_frame(car):
     other = random_frame(3)
     with pytest.raises(FrameMismatch):
-        check_same_frame(car, other.subset_from_mask(0))
+        check_same_frame(car, EvidenceSubset(other, 0))

@@ -19,7 +19,7 @@ from topobelief.errors import (
     MalformedDocument,
     TopobeliefError,
 )
-from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame
+from topobelief.evidence import EvidenceItem, EvidenceSubset, QuantitativeEvidenceFrame
 from topobelief.fusion import (
     Allocator,
     AllocatorKind,
@@ -33,22 +33,27 @@ from topobelief.fusion import (
     UNION,
     YAGER,
     allocate,
-    allocated_mass,
     allocated_mass_table,
     belief,
     belief_report,
     custom_allocator,
-    evidence_mass,
     justification_frame,
     justified_mass,
     mass_table,
     normalization_factor,
     validate_allocators,
 )
-from topobelief.topology import generate_topology, is_dense
+from topobelief.topology import generate_topology
 from topobelief.verify import fixed_shape_frame, random_frame
 import topobelief.fusion as fusion_module
-from reference import validate_allocators_by_sweep, yager_column_by_table
+from reference import (
+    evidence_mass,
+    is_dense,
+    union_belief_ds,
+    validate_allocators_by_sweep,
+    yager_belief_ds,
+    yager_column_by_table,
+)
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
@@ -67,12 +72,6 @@ def test_evidence_mass_single_item_frame():
     )
     assert evidence_mass(frame, frame.subset(["E"])) == Fraction(2, 7)
     assert evidence_mass(frame, frame.subset([])) == Fraction(5, 7)
-
-
-def test_evidence_mass_rejects_foreign_subset(car):
-    other = random_frame(11)
-    with pytest.raises(FrameMismatch):
-        evidence_mass(car, other.subset_from_mask(0))
 
 
 CAR_MASS_NUMERATORS = {
@@ -315,10 +314,11 @@ def test_custom_allocator_requires_total_table(car):
 
 def test_allocated_mass_car_examples(car):
     u = car.universe
-    assert allocated_mass(car, INTERSECTION, u.subset(["dm"])) == Fraction(297, 800)
-    assert allocated_mass(car, INTERSECTION, u.empty_set()) == Fraction(270, 800)
+    table = allocated_mass_table(car, INTERSECTION)
+    assert table[u.subset(["dm"])] == Fraction(297, 800)
+    assert table[u.empty_set()] == Fraction(270, 800)
     for alloc in (INTERSECTION, UNION, MIN_DENSE, YAGER):
-        assert allocated_mass(car, alloc, u.subset(["so"])) == 0
+        assert u.subset(["so"]) not in allocated_mass_table(car, alloc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,7 +455,7 @@ def _mutated_tables(frame, rng):
     replaced by seeded random sets of states."""
     out = []
     for alloc in rng.sample(BUILTINS, rng.randint(1, 3)):
-        table = {mask: allocate(frame, alloc, frame.subset_from_mask(mask))
+        table = {mask: allocate(frame, alloc, EvidenceSubset(frame, mask))
                  for mask in range(1 << frame.arity)}
         for _ in range(rng.randint(1, 3)):
             table[rng.randrange(1 << frame.arity)] = StateSet(
@@ -472,7 +472,7 @@ def test_allocation_planes_give_back_the_allocate_images(car):
             planes = _allocation_planes(frame, alloc, avoid)
             for mask in range(1 << frame.arity):
                 image = sum(states for states, plane in planes if plane >> mask & 1)
-                assert image == allocate(frame, alloc, frame.subset_from_mask(mask)).bits, \
+                assert image == allocate(frame, alloc, EvidenceSubset(frame, mask)).bits, \
                     (frame, alloc.label, mask)
 
 
@@ -717,6 +717,19 @@ def test_yager_column_equals_its_image_table_filtered_by_the_frame(car, kind):
         assert report.uncertainty[0] == masses[u.full_set()], n
         conflicted += 0 in _image_numerators(frame, INTERSECTION)[0]
     assert conflicted > 100
+
+
+@pytest.mark.parametrize("alloc, closed_form", [(UNION, union_belief_ds),
+                                                (YAGER, yager_belief_ds)], ids=["u", "yager"])
+def test_ds_beliefs_equal_their_closed_forms(alloc, closed_form):
+    # the closed forms share no code with fusion, and every proposition is held
+    for seed in range(100):
+        frame = random_frame(seed, 8, 6)
+        u = frame.universe
+        ds = justification_frame(frame, "ds")
+        for bits in range(u.full_bits + 1):
+            p = StateSet(u, bits)
+            assert belief(frame, alloc, ds, p) == closed_form(frame, p), (seed, p)
 
 
 def test_i_u_yager_reports_build_two_image_tables():

@@ -68,7 +68,7 @@ def test_mass_axioms_single_evidence_half():
     frame = QuantitativeEvidenceFrame(
         u, (EvidenceItem("E", u.subset(["a"]), Fraction(1, 2)),)
     )
-    values = {s: Fraction(1, 2) for s in frame.all_subsets()}
+    values = [(s, Fraction(1, 2)) for s in frame.all_subsets()]
     outcome = check_mass_axioms(values)
     assert outcome.passed
     assert outcome.detail["total"] == "1"
@@ -140,13 +140,13 @@ def test_mass_checker_detects_corruption(car):
     values = dict(mass_table(car))
     key = next(iter(values))
     values[key] += Fraction(1, 1000)
-    outcome = check_mass_axioms(values)
+    outcome = check_mass_axioms(values.items())
     assert not outcome.passed
     assert "total" in outcome.detail
 
 
 def test_mass_checker_detects_out_of_range():
-    outcome = check_mass_axioms({"x": Fraction(3, 2), "y": Fraction(-1, 2)})
+    outcome = check_mass_axioms([("x", Fraction(3, 2)), ("y", Fraction(-1, 2))])
     assert not outcome.passed
 
 
