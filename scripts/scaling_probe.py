@@ -15,11 +15,12 @@ the process so far. The ``verify`` lines time every
 checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12, 16 x 14 and 28 x 8
 frames; the equivalence checks visit only the sets that generate their two
 sides, the allocation laws are checked on family planes, the merged-mass
-check lists all 2^m masses, and the minimum-dense-open check walks every
-open of the materialised topology, judging denseness from the minimal
-neighborhoods. The ``topology 24 x 7`` line times the ``topology --output
-json`` command on a frame with 13,258 opens, and the ``topology 24 x 22``
-line the refusal of a frame of 22 singleton items, whose 2^22 + 1 opens pass
+check lists all 2^m masses, and the minimum-dense-open check compares the
+candidate with the union of the minimal neighborhoods, without listing the
+topology. The ``verify 24 x 8 discrete`` line times every checker on a
+24-state, 8-item frame whose 2^24 sets are all open. The ``topology 24 x 7``
+line times the ``topology --output json`` command on a frame with 13,258
+opens, and the ``topology 24 x 22`` line the refusal of a frame of 22 singleton items, whose 2^22 + 1 opens pass
 the cap of 2^18. The last line checks that the capacity cap turns 25 items
 into a clean error for ``d``.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import resource
 import sys
@@ -107,6 +109,17 @@ def main() -> int:
         atoms = len(frame.point_signatures)
         print(f"verify {size} x {items}  atoms={atoms:2d}  {seconds:7.3f}s")
 
+    # distinct 4-of-8 item signatures: every state is its own neighborhood
+    universe = make_universe([f"s{k}" for k in range(24)])
+    signatures = list(itertools.combinations(range(8), 4))[::2][:24]
+    discrete = QuantitativeEvidenceFrame(universe, tuple(
+        EvidenceItem(f"E{i + 1}", StateSet(universe, sum(
+            1 << k for k, sig in enumerate(signatures) if i in sig)), Fraction(1, 2))
+        for i in range(8)))
+    start = time.perf_counter()
+    run_all_checks(discrete)
+    print(f"verify 24 x 8 discrete  {time.perf_counter() - start:7.3f}s")
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "frame.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -116,7 +129,6 @@ def main() -> int:
             cli_main(["topology", "--frame", path, "--output", "json"])
         print(f"topology 24 x 7  {time.perf_counter() - start:7.3f}s")
 
-        universe = make_universe([f"s{k}" for k in range(24)])
         singletons = QuantitativeEvidenceFrame(universe, tuple(
             EvidenceItem(f"E{k + 1}", StateSet(universe, 1 << k), Fraction(1, 2))
             for k in range(22)))

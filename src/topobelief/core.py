@@ -69,9 +69,6 @@ class StateUniverse:
     def full_set(self) -> "StateSet":
         return StateSet(self, self.full_bits)
 
-    def empty_set(self) -> "StateSet":
-        return StateSet(self, 0)
-
     def __repr__(self) -> str:
         return f"StateUniverse({','.join(self.labels)})"
 

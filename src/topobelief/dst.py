@@ -57,10 +57,6 @@ class BasicProbabilityAssignment:
         return tuple((s.bits, v.numerator * (den // v.denominator))
                      for s, v in self.focal.items()), den
 
-    @classmethod
-    def vacuous(cls, universe: StateUniverse) -> "BasicProbabilityAssignment":
-        return cls(universe, {universe.full_set(): Fraction(1)})
-
     def mass(self, s: StateSet) -> Fraction:
         return self.focal.get(s, Fraction(0))
 

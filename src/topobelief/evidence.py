@@ -84,10 +84,6 @@ class QuantitativeEvidenceFrame:
             mask |= 1 << self.index_of(name)
         return EvidenceSubset(self, mask)
 
-    def all_subsets(self):
-        for mask in range(1 << self.arity):
-            yield EvidenceSubset(self, mask)
-
     @cached_property
     def neighborhoods(self) -> tuple[StateSet, ...]:
         """Minimal open neighborhood of each state in the generated topology."""
@@ -143,12 +139,6 @@ class QuantitativeEvidenceFrame:
         if s.universe != self.universe:
             raise UniverseMismatch("set lives in a different universe")
         return self.open_bits(s.bits)
-
-    def is_dense(self, s: StateSet) -> bool:
-        """Denseness w.r.t. the evidential topology, via minimal neighborhoods."""
-        if s.universe != self.universe:
-            raise UniverseMismatch("set lives in a different universe")
-        return self.dense_bits(s.bits)
 
 
 @dataclass(frozen=True)

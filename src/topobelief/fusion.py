@@ -62,6 +62,7 @@ from .errors import (
     Violation,
 )
 from .evidence import EvidenceSubset, QuantitativeEvidenceFrame, check_same_frame
+# generate_topology is unused here; perfbench/tracing.py patches it by name
 from .topology import generate_topology, min_dense
 
 MAX_ENUM_ITEMS = 24
@@ -452,14 +453,6 @@ class JustificationFrame:
         if s.universe != self.frame.universe:
             raise UniverseMismatch("set lives in a different universe")
         return self.contains_bits(s.bits)
-
-    def members(self) -> tuple[StateSet, ...]:
-        """Explicit member list; ds/sd kinds list the generated topology, so
-        they raise ``CapacityExceeded`` past ``topology.MAX_OPENS`` opens."""
-        if self.kind is JustificationKind.CUSTOM:
-            return self.custom_members
-        topo = generate_topology(self.frame.universe, self.frame.contents())
-        return tuple(o for o in topo.opens if self.contains_bits(o.bits))
 
 
 def justification_frame(

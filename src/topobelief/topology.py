@@ -3,9 +3,9 @@
 All spaces are finite, so a topology is fixed by its minimal open
 neighborhoods, the smallest open around each state, which form its smallest
 basis. ``minimal_open_neighborhoods`` answers openness/denseness queries
-without materialising anything, which is what the fusion pipeline uses at
-scale; ``generate_topology`` lists every open as a union of those
-neighborhoods, up to ``MAX_OPENS`` opens.
+without materialising anything, which is all the pipeline and the checkers
+use; only ``topobelief topology`` lists every open, as a union of those
+neighborhoods, with ``generate_topology``, up to ``MAX_OPENS`` opens.
 
 States with the same evidence signature (the set of generators containing
 them) lie in exactly the same opens. ``signature_atoms`` groups them into
@@ -17,7 +17,6 @@ only on the largest union of atoms inside that set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .core import StateSet, StateUniverse, canonical_key
@@ -29,20 +28,10 @@ MAX_OPENS = 1 << 18
 
 @dataclass(frozen=True)
 class Topology:
-    """An explicit topology: deduplicated opens in canonical order."""
+    """A listed topology, as printed: deduplicated opens in canonical order."""
 
     universe: StateUniverse
     opens: tuple[StateSet, ...]
-
-    @cached_property
-    def _open_bits(self) -> frozenset[int]:
-        return frozenset(o.bits for o in self.opens)
-
-    def __contains__(self, s: StateSet) -> bool:
-        return s.universe == self.universe and s.bits in self._open_bits
-
-    def __len__(self) -> int:
-        return len(self.opens)
 
 
 def _check_universe(universe: StateUniverse, sets: Sequence[StateSet]) -> None:

@@ -10,7 +10,8 @@ from topobelief.core import StateSet, canonical_key
 from topobelief.errors import Violation
 from topobelief.evidence import EvidenceSubset, QuantitativeEvidenceFrame
 from topobelief.fusion import YAGER, allocate, allocated_mass_table
-from topobelief.topology import Topology
+from topobelief.topology import Topology, generate_topology, min_dense
+from topobelief.verify import CheckOutcome, _fail, _ok
 
 
 def generate_topology_by_intersections(universe, subbasis) -> Topology:
@@ -37,6 +38,39 @@ def generate_topology_by_intersections(universe, subbasis) -> Topology:
         frontier = next_frontier
     members = sorted((StateSet(universe, bits) for bits in opens), key=canonical_key)
     return Topology(universe, tuple(members))
+
+
+def justification_members_by_listing(justification) -> tuple[StateSet, ...]:
+    """The members of a ``ds`` or ``sd`` justification frame, by listing the
+    generated topology and keeping the opens the frame contains."""
+    frame = justification.frame
+    topo = generate_topology(frame.universe, frame.contents())
+    return tuple(o for o in topo.opens if justification.contains_bits(o.bits))
+
+
+def minimum_dense_open_by_listing(frame) -> CheckOutcome:
+    """``verify.check_minimum_dense_open`` by listing the generated topology:
+    the candidate is one of its opens, dense, and inside every dense open,
+    scanned in canonical order."""
+    name = "minimum_dense_open"
+    candidate = min_dense(frame.contents())
+    topo = generate_topology(frame.universe, frame.contents())
+    if candidate.bits not in {o.bits for o in topo.opens}:
+        return _fail(name, frame, reason="candidate is not open",
+                     candidate=list(candidate.members()))
+    if not frame.dense_bits(candidate.bits):
+        return _fail(name, frame, reason="candidate is not dense",
+                     candidate=list(candidate.members()))
+    for o in topo.opens:
+        if frame.dense_bits(o.bits) and not candidate.issubset(o):
+            return _fail(
+                name,
+                frame,
+                reason="a dense open does not contain the candidate",
+                candidate=list(candidate.members()),
+                dense_open=list(o.members()),
+            )
+    return _ok(name, frame)
 
 
 def validate_allocators_by_sweep(frame, allocators) -> list[Violation]:

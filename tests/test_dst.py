@@ -44,7 +44,7 @@ def test_simple_support_index_out_of_range(car):
 def test_bpa_invariants():
     u = make_universe(["a", "b"])
     with pytest.raises(ValueError):
-        BasicProbabilityAssignment(u, {u.empty_set(): Fraction(1)})
+        BasicProbabilityAssignment(u, {StateSet(u, 0): Fraction(1)})
     with pytest.raises(ValueError):
         BasicProbabilityAssignment(u, {u.full_set(): Fraction(1, 2)})
     with pytest.raises(ValueError):
@@ -55,7 +55,8 @@ def test_bpa_invariants():
 
 def test_combine_with_vacuous_is_identity(car):
     m = simple_support(car, 1)
-    vac = BasicProbabilityAssignment.vacuous(car.universe)
+    u = car.universe
+    vac = BasicProbabilityAssignment(u, {u.full_set(): Fraction(1)})
     assert dempster_combine(m, vac).focal == m.focal
     assert dempster_combine(vac, m).focal == m.focal
 
@@ -84,8 +85,9 @@ def test_combine_total_conflict():
 
 
 def test_combine_universe_mismatch():
-    m1 = BasicProbabilityAssignment.vacuous(make_universe(["a"]))
-    m2 = BasicProbabilityAssignment.vacuous(make_universe(["b"]))
+    a, b = make_universe(["a"]), make_universe(["b"])
+    m1 = BasicProbabilityAssignment(a, {a.full_set(): Fraction(1)})
+    m2 = BasicProbabilityAssignment(b, {b.full_set(): Fraction(1)})
     with pytest.raises(UniverseMismatch):
         dempster_combine(m1, m2)
 
@@ -141,7 +143,7 @@ def test_combination_associates(m1, m2, m3):
 @settings(max_examples=60, deadline=None)
 @given(bpas())
 def test_belief_from_bpa_axioms(m):
-    assert belief_from_bpa(m, _universe.empty_set()) == 0
+    assert belief_from_bpa(m, StateSet(_universe, 0)) == 0
     assert belief_from_bpa(m, _universe.full_set()) == 1
     singles = [StateSet(_universe, 1 << k) for k in range(_universe.size)]
     for a in singles:
@@ -157,13 +159,14 @@ def test_combined_car_belief(car):
     p1 = car.universe.subset(["dp", "do", "dm"])
     assert belief_from_bpa(combined, p1) == Fraction(477, 530)
     assert belief_from_bpa(combined, car.universe.full_set()) == 1
-    assert belief_from_bpa(combined, car.universe.empty_set()) == 0
+    assert belief_from_bpa(combined, StateSet(car.universe, 0)) == 0
 
 
 def _pairwise_combination(frame):
     """The literal reference: Dempster's pairwise rule folded over the items."""
     supports = [simple_support(frame, i) for i in range(frame.arity)]
-    vacuous = BasicProbabilityAssignment.vacuous(frame.universe)
+    u = frame.universe
+    vacuous = BasicProbabilityAssignment(u, {u.full_set(): Fraction(1)})
     return functools.reduce(dempster_combine, supports, vacuous)
 
 
@@ -178,7 +181,7 @@ def test_combine_evidence_equals_pairwise_rule(car):
 @pytest.mark.parametrize("content", ["empty", "full"])
 def test_combine_evidence_rejects_invalid_items_like_pairwise_rule(content):
     u = make_universe(["a", "b", "c"])
-    odd = u.empty_set() if content == "empty" else u.full_set()
+    odd = StateSet(u, 0) if content == "empty" else u.full_set()
     frame = QuantitativeEvidenceFrame(u, (
         EvidenceItem("E1", u.subset(["a", "b"]), Fraction(1, 2)),
         EvidenceItem("E2", odd, Fraction(2, 3)),

@@ -49,6 +49,7 @@ import topobelief.fusion as fusion_module
 from reference import (
     evidence_mass,
     is_dense,
+    justification_members_by_listing,
     union_belief_ds,
     validate_allocators_by_sweep,
     yager_belief_ds,
@@ -125,7 +126,7 @@ def test_mass_total_one_at_twelve_items():
 
 def test_justification_ds_members_car(car):
     ds = justification_frame(car, "ds")
-    members = {m.bits for m in ds.members()}
+    members = {m.bits for m in justification_members_by_listing(ds)}
     # every non-empty open of the 14-element evidential topology
     assert len(members) == 13
     assert car.universe.full_bits in members
@@ -136,12 +137,12 @@ def test_justification_ds_members_car(car):
 
 def test_justification_sd_members_car(car):
     sd = justification_frame(car, "sd")
-    members = {m.bits for m in sd.members()}
+    members = {m.bits for m in justification_members_by_listing(sd)}
     core = car.universe.subset(["dp", "dm"])
     # exactly the opens containing the minimum dense open {dp, dm}
     assert members == {
         m.bits
-        for m in justification_frame(car, "ds").members()
+        for m in justification_members_by_listing(justification_frame(car, "ds"))
         if core.issubset(m)
     }
     assert len(members) == 9
@@ -157,7 +158,7 @@ def test_custom_frame_requires_total_set(car):
 def test_custom_frame_rejects_empty_member(car):
     with pytest.raises(CustomFrameContainsEmpty):
         justification_frame(
-            car, "custom", [car.universe.empty_set(), car.universe.full_set()]
+            car, "custom", [StateSet(car.universe, 0), car.universe.full_set()]
         )
 
 
@@ -171,7 +172,7 @@ def test_custom_frame_rejects_non_open(car):
 def test_custom_frame_restricts_belief(car):
     members = [car.universe.subset(["dp", "dm"]), car.universe.full_set()]
     jf = justification_frame(car, "custom", members)
-    assert jf.members() == tuple(sorted(members, key=lambda s: (s.size, s.bits)))
+    assert jf.custom_members == tuple(sorted(members, key=lambda s: (s.size, s.bits)))
     assert jf.contains(car.universe.full_set())
     assert not jf.contains(car.universe.subset(["dp"]))
 
@@ -230,7 +231,8 @@ def test_validate_allocators_car(car):
 
 def test_validate_allocators_flags_incomparable_customs(car):
     e1, e2, _ = car.contents()
-    base = {s: allocate(car, INTERSECTION, s) for s in car.all_subsets()}
+    subsets = [EvidenceSubset(car, mask) for mask in range(1 << car.arity)]
+    base = {s: allocate(car, INTERSECTION, s) for s in subsets}
     g = dict(base)
     g[car.subset(["E1", "E2"])] = e1
     h = dict(base)
@@ -247,7 +249,8 @@ def test_validate_allocators_flags_incomparable_customs(car):
 
 
 def test_validate_allocators_flags_empty_family_violation(car):
-    table = {s: allocate(car, INTERSECTION, s) for s in car.all_subsets()}
+    subsets = [EvidenceSubset(car, mask) for mask in range(1 << car.arity)]
+    table = {s: allocate(car, INTERSECTION, s) for s in subsets}
     table[car.subset([])] = car.items[0].content
     report = validate_allocators(car, [custom_allocator(car, table, "bad")])
     assert any(v.code == "EmptyFamilyImage" for v in report)
@@ -255,7 +258,8 @@ def test_validate_allocators_flags_empty_family_violation(car):
 
 def test_validate_allocators_flags_image_outside_subset_topology(car):
     # {dp} is open for the whole frame but not for the topology {E1} generates
-    table = {s: allocate(car, INTERSECTION, s) for s in car.all_subsets()}
+    subsets = [EvidenceSubset(car, mask) for mask in range(1 << car.arity)]
+    table = {s: allocate(car, INTERSECTION, s) for s in subsets}
     table[car.subset(["E1"])] = car.universe.subset(["dp"])
     report = validate_allocators(car, [custom_allocator(car, table, "bad")])
     assert any(
@@ -266,7 +270,8 @@ def test_validate_allocators_flags_image_outside_subset_topology(car):
 def test_validate_allocators_flags_non_dense_image(car):
     # {E2, E3} generates {0, E2, E3, E2|E3, S}; E2 is open there but misses E3
     # entirely, so it is neither empty nor dense for that family.
-    table = {s: allocate(car, MIN_DENSE, s) for s in car.all_subsets()}
+    subsets = [EvidenceSubset(car, mask) for mask in range(1 << car.arity)]
+    table = {s: allocate(car, MIN_DENSE, s) for s in subsets}
     table[car.subset(["E2", "E3"])] = car.items[1].content
     report = validate_allocators(car, [custom_allocator(car, table, "bad")])
     assert any(
@@ -279,7 +284,8 @@ def test_validate_allocators_flags_non_dense_image(car):
 @given(seeds)
 def test_sandwich_between_intersection_and_union(seed):
     frame = random_frame(seed)
-    for subset in frame.all_subsets():
+    for mask in range(1 << frame.arity):
+        subset = EvidenceSubset(frame, mask)
         lower = allocate(frame, INTERSECTION, subset)
         upper = allocate(frame, UNION, subset)
         for alloc in (INTERSECTION, UNION, MIN_DENSE):
@@ -295,7 +301,8 @@ def test_yager_sandwich_characterisation(seed):
     # conflicts and its union does not cover the space; below the fallback the
     # sandwich holds.
     frame = random_frame(seed)
-    for subset in frame.all_subsets():
+    for mask in range(1 << frame.arity):
+        subset = EvidenceSubset(frame, mask)
         image = allocate(frame, YAGER, subset)
         assert allocate(frame, INTERSECTION, subset).issubset(image)
         if image.is_full():
@@ -316,7 +323,7 @@ def test_allocated_mass_car_examples(car):
     u = car.universe
     table = allocated_mass_table(car, INTERSECTION)
     assert table[u.subset(["dm"])] == Fraction(297, 800)
-    assert table[u.empty_set()] == Fraction(270, 800)
+    assert table[StateSet(u, 0)] == Fraction(270, 800)
     for alloc in (INTERSECTION, UNION, MIN_DENSE, YAGER):
         assert u.subset(["so"]) not in allocated_mass_table(car, alloc)
 
@@ -335,7 +342,8 @@ def _per_subset_numerators(frame, allocators):
     """Reference aggregation: merged mass of every evidence subset, summed
     per ``allocate`` image, one table per allocator."""
     tables = [{} for _ in allocators]
-    for subset in frame.all_subsets():
+    for mask in range(1 << frame.arity):
+        subset = EvidenceSubset(frame, mask)
         mass = evidence_mass(frame, subset)
         for table, alloc in zip(tables, allocators):
             bits = allocate(frame, alloc, subset).bits
@@ -348,7 +356,7 @@ def _frame_with_empty_item():
     the full space that the empty family maps to."""
     u = make_universe(["a", "b", "c"])
     items = (
-        EvidenceItem("E1", u.empty_set(), Fraction(1, 3)),
+        EvidenceItem("E1", StateSet(u, 0), Fraction(1, 3)),
         EvidenceItem("E2", u.subset(["a"]), Fraction(2, 5)),
         EvidenceItem("E3", u.subset(["a", "b"]), Fraction(3, 4)),
     )
@@ -397,7 +405,7 @@ def _frames_with_certain_item():
         EvidenceItem("E3", u.subset(["b", "c"]), Fraction(1, 5)),
     )
     return [QuantitativeEvidenceFrame(u, items),
-            QuantitativeEvidenceFrame(u, (EvidenceItem("E1", u.empty_set(), Fraction(1)),))]
+            QuantitativeEvidenceFrame(u, (EvidenceItem("E1", StateSet(u, 0), Fraction(1)),))]
 
 
 def _one_state_frame():
@@ -416,7 +424,8 @@ def _min_dense_corpus():
 def test_min_dense_image_table_equals_per_subset_reference():
     for frame in _min_dense_corpus():
         reference = {}
-        for subset in frame.all_subsets():
+        for mask in range(1 << frame.arity):
+            subset = EvidenceSubset(frame, mask)
             bits = allocate(frame, MIN_DENSE, subset).bits
             assert bits == _maximal_signature_image(frame, subset.mask), (frame, subset)
             reference[bits] = reference.get(bits, 0) + evidence_mass(frame, subset)
@@ -664,9 +673,10 @@ def test_builtin_images_are_open():
 def test_builtin_column_equals_contains_filter(kind):
     for frame in _column_corpus():
         justification = justification_frame(frame, kind)
+        listed = {m.bits for m in justification_members_by_listing(justification)}
         for alloc in BUILTINS:
             acc, _ = _image_numerators(frame, alloc)
-            expected = {b: n for b, n in acc.items() if justification.contains_bits(b)}
+            expected = {b: n for b, n in acc.items() if b in listed}
             column = _column(frame, alloc, justification)
             kept = {b: column.at(b) for b in range(frame.universe.full_bits + 1)}
             assert kept == {b: expected.get(b, 0) for b in kept}, (frame, alloc.label)
@@ -810,7 +820,7 @@ def test_justified_mass_is_bpa(seed, kind):
             else:
                 assert jm == 0
         assert total == 1
-        assert justified_mass(frame, alloc, jf, frame.universe.empty_set()) == 0
+        assert justified_mass(frame, alloc, jf, StateSet(frame.universe, 0)) == 0
 
 
 def test_belief_car_examples(car):
@@ -831,10 +841,10 @@ def test_belief_bounds_and_monotonicity(seed, kind):
     jf = justification_frame(frame, kind)
     u = frame.universe
     for alloc in (INTERSECTION, UNION, MIN_DENSE):
-        assert belief(frame, alloc, jf, u.empty_set()) == 0
+        assert belief(frame, alloc, jf, StateSet(u, 0)) == 0
         assert belief(frame, alloc, jf, u.full_set()) == 1
         previous = Fraction(0)
-        grown = u.empty_set()
+        grown = StateSet(u, 0)
         for k in range(u.size):
             grown = grown | StateSet(u, 1 << k)
             value = belief(frame, alloc, jf, grown)

@@ -10,7 +10,12 @@ import pytest
 
 from topobelief.core import StateSet, make_universe
 from topobelief.dst import belief_from_bpa, combine_evidence, topological_belief
-from topobelief.evidence import EvidenceItem, QuantitativeEvidenceFrame, parse_frame
+from topobelief.evidence import (
+    EvidenceItem,
+    EvidenceSubset,
+    QuantitativeEvidenceFrame,
+    parse_frame,
+)
 from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
@@ -36,6 +41,8 @@ from topobelief.verify import (
 )
 import topobelief.fusion as fusion_module
 import topobelief.verify as verify_module
+import reference as reference_module
+from reference import minimum_dense_open_by_listing
 
 
 def _drc(frame):
@@ -68,7 +75,8 @@ def test_mass_axioms_single_evidence_half():
     frame = QuantitativeEvidenceFrame(
         u, (EvidenceItem("E", u.subset(["a"]), Fraction(1, 2)),)
     )
-    values = [(s, Fraction(1, 2)) for s in frame.all_subsets()]
+    values = [(EvidenceSubset(frame, mask), Fraction(1, 2))
+              for mask in range(1 << frame.arity)]
     outcome = check_mass_axioms(values)
     assert outcome.passed
     assert outcome.detail["total"] == "1"
@@ -152,7 +160,7 @@ def test_mass_checker_detects_out_of_range():
 
 def test_bpa_checker_detects_empty_set_mass(car):
     bpa = justified_bpa(car, INTERSECTION, justification_frame(car, "ds"))
-    bpa[car.universe.empty_set()] = Fraction(1, 100)
+    bpa[StateSet(car.universe, 0)] = Fraction(1, 100)
     assert not check_bpa_axioms(bpa).passed
 
 
@@ -189,7 +197,8 @@ def test_belief_checker_detects_superadditivity_break(car):
 
 
 def test_allocation_checker_detects_corrupted_image(car):
-    table = {s: allocate(car, INTERSECTION, s) for s in car.all_subsets()}
+    subsets = [EvidenceSubset(car, mask) for mask in range(1 << car.arity)]
+    table = {s: allocate(car, INTERSECTION, s) for s in subsets}
     table[car.subset(["E1"])] = car.universe.subset(["dp"])  # not open for {E1}
     outcome = check_allocation_definition(
         car, [custom_allocator(car, table, "mutant")]
@@ -238,6 +247,28 @@ def test_min_dense_checker_depends_on_dense_bits(car, monkeypatch, mutation, rea
         outcome = check_minimum_dense_open(frame)
         assert not outcome.passed, frame
         assert outcome.detail["reason"] == reason
+
+
+@pytest.mark.parametrize("min_dense, dense_bits", [
+    (None, None),
+    (lambda sets: sets[0].universe.full_set(), None),
+    (None, lambda dense_bits: lambda self, bits: True),
+    (None, lambda dense_bits: lambda self, bits: not dense_bits(self, bits)),
+], ids=["unpatched", "wrong_candidate", "always_dense", "negated"])
+def test_min_dense_checker_reports_the_listings_outcome(car, monkeypatch, min_dense,
+                                                        dense_bits):
+    # same verdict, detail, witness and frame document as a scan over every
+    # listed open, unpatched and under the mutations of the checker tests above
+    if min_dense is not None:
+        monkeypatch.setattr(verify_module, "min_dense", min_dense)
+        monkeypatch.setattr(reference_module, "min_dense", min_dense)
+    if dense_bits is not None:
+        original = QuantitativeEvidenceFrame.dense_bits
+        monkeypatch.setattr(QuantitativeEvidenceFrame, "dense_bits", dense_bits(original))
+    frames = [car] + [random_frame(seed, 8, 6) for seed in range(500)]
+    frames += [random_frame(seed, 12, 7) for seed in range(300)]
+    for frame in frames:
+        assert check_minimum_dense_open(frame) == minimum_dense_open_by_listing(frame), frame
 
 
 def test_checkers_stay_green_without_mutation(car):
