@@ -12,13 +12,15 @@ timed at 14, 16 and 18 items. The ``d image table`` lines time
 family's image off the planes and then sums the 2^m family masses once. They
 and the ``d`` lines from 18 to 24 items also give the peak resident memory of
 the process so far. The ``verify`` lines time every
-checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12, 16 x 14 and 28 x 8
-frames; the equivalence checks visit only the sets that generate their two
-sides, the allocation laws are checked on family planes, the merged-mass
-check lists all 2^m masses, and the minimum-dense-open check compares the
-candidate with the union of the minimal neighborhoods, without listing the
-topology. The ``verify 24 x 8 discrete`` line times every checker on a
-24-state, 8-item frame whose 2^24 sets are all open. The ``topology 24 x 7``
+checker on 30 x 3, 20 x 4, 16 x 6, 24 x 6, 16 x 12, 16 x 14, 28 x 8, 16 x 16
+and 16 x 18 frames; the equivalence checks visit only the sets that generate
+their two sides, the allocation laws are checked on family planes, the
+merged masses are judged on the two half tables without listing the 2^m of
+them, and the minimum-dense-open check compares the candidate with the union
+of the minimal neighborhoods, without listing the topology. The ``merged
+masses 16 x 20`` line times that merged-mass check alone. The ``verify 24 x
+8 discrete`` line times every checker on a 24-state, 8-item frame whose 2^24
+sets are all open. The ``topology 24 x 7``
 line times the ``topology --output json`` command on a frame with 13,258
 opens, and the ``topology 24 x 22`` line the refusal of a frame of 22 singleton items, whose 2^22 + 1 opens pass
 the cap of 2^18. The last line checks that the capacity cap turns 25 items
@@ -50,7 +52,7 @@ from topobelief.fusion import (
     belief_report,
     justification_frame,
 )
-from topobelief.verify import fixed_shape_frame, run_all_checks
+from topobelief.verify import fixed_shape_frame, merged_mass_axioms, run_all_checks
 
 
 def _proposition(frame):
@@ -101,13 +103,19 @@ def main() -> int:
         print(f"items={items:2d}  d  {seconds:7.3f}s  peak RSS {_peak_mb():6.1f} MB")
 
     for seed, size, items in ((1, 30, 3), (1, 20, 4), (1, 16, 6), (1, 24, 6),
-                              (1, 16, 12), (1, 16, 14), (5, 28, 8)):
+                              (1, 16, 12), (1, 16, 14), (5, 28, 8), (7, 16, 16),
+                              (7, 16, 18)):
         frame = fixed_shape_frame(seed, size, items)
         start = time.perf_counter()
         run_all_checks(frame)
         seconds = time.perf_counter() - start
         atoms = len(frame.point_signatures)
         print(f"verify {size} x {items}  atoms={atoms:2d}  {seconds:7.3f}s")
+
+    frame = fixed_shape_frame(7, states, 20)
+    start = time.perf_counter()
+    merged_mass_axioms(frame)
+    print(f"merged masses 16 x 20  {(time.perf_counter() - start) * 1000:7.3f} ms")
 
     # distinct 4-of-8 item signatures: every state is its own neighborhood
     universe = make_universe([f"s{k}" for k in range(24)])

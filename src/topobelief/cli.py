@@ -239,12 +239,35 @@ def cmd_believe(args) -> int:
     return 0
 
 
+def _outcomes_json(outcomes) -> str:
+    """``json.dumps([o.to_json() for o in outcomes], **_JSON_KW)``, with each
+    distinct value of an outcome, above all its frame document, encoded
+    once. An indented value nested at depth d is its own encoding with 2d
+    more spaces after every newline, and an outcome's values sit at depth 2.
+    Values are told apart by ``repr``, which, unlike ``==``, keeps key order
+    and ``True`` apart from ``1``, as the encoding does."""
+    if not outcomes:
+        return json.dumps([], **_JSON_KW)
+    texts: dict[str, str] = {}
+
+    def nested(value) -> str:
+        seen = repr(value)
+        if seen not in texts:
+            texts[seen] = json.dumps(value, **_JSON_KW).replace("\n", "\n    ")
+        return texts[seen]
+
+    entries = [",\n".join(f"    {nested(key)}: {nested(value)}"
+                          for key, value in o.to_json().items())
+               for o in outcomes]
+    return "[\n  {\n" + "\n  },\n  {\n".join(entries) + "\n  }\n]"
+
+
 def cmd_verify(args) -> int:
     frame = load_frame(args.frame)
     outcomes = run_all_checks(frame)
     failed = [o for o in outcomes if not o.passed]
     if args.output == "json":
-        print(json.dumps([o.to_json() for o in outcomes], **_JSON_KW))
+        print(_outcomes_json(outcomes))
     else:
         for o in outcomes:
             print(f"{o.check}: {'PASS' if o.passed else 'FAIL'}")

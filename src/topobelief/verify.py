@@ -3,8 +3,10 @@
 Checkers return data, never raise: a failing ``CheckOutcome`` carries a
 self-contained witness (frame document plus the offending sets and values)
 that can be replayed through the CLI. Capacity refusals are not outcomes:
-``mass_table`` past its item cap raises ``CapacityExceeded`` through the
-checkers. No checker lists the topology.
+past the item cap the pipeline raises ``CapacityExceeded`` through the
+checkers, first in ``check_allocation_definition``, whose allocation laws
+need the 2^m-bit family planes. No checker lists the topology, nor the 2^m
+merged masses unless they fail their test on the half tables.
 
 The two equivalence checks quantify over every proposition P but visit only
 the empty set and the sets that generate their two sides, in ascending order.
@@ -18,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -29,6 +31,7 @@ from .evidence import (
     QuantitativeEvidenceFrame,
     frame_to_document,
 )
+from . import fusion
 from .fusion import (
     Allocator,
     INTERSECTION,
@@ -71,18 +74,41 @@ def _fail(check: str, frame: QuantitativeEvidenceFrame | None = None, **detail) 
 
 
 def check_mass_axioms(values: Iterable[tuple[object, Fraction]]) -> CheckOutcome:
-    """A mass function over any finite domain, given as ``(key, value)`` pairs:
-    values in [0, 1], total exactly 1. Keys are only reported, never hashed."""
+    """A mass function over any finite domain, given as ``(key, value)`` pairs
+    of exact rationals (``Fraction`` or ``int``): values in [0, 1], total
+    exactly 1. Keys are only reported, never hashed.
+
+    Each value is tested as 0 <= numerator <= denominator, and the first one
+    outside [0, 1] is reported. The total is one integer sum of numerators
+    over the lcm of the denominators, reported as a reduced fraction."""
     name = "mass_axioms"
-    total = Fraction(0)
+    parts = []
     for key, value in values:
-        if not 0 <= value <= 1:
+        if not 0 <= value.numerator <= value.denominator:
             return _fail(name, key=repr(key), value=str(value),
                          reason="value outside [0, 1]")
-        total += value
-    if total != 1:
-        return _fail(name, total=str(total), reason="values do not total 1")
-    return _ok(name, total=str(total))
+        parts.append((value.numerator, value.denominator))
+    denominator = math.lcm(*(den for _, den in parts))
+    total = sum(num * (denominator // den) for num, den in parts)
+    if total != denominator:
+        return _fail(name, total=str(Fraction(total, denominator)),
+                     reason="values do not total 1")
+    return _ok(name, total="1")
+
+
+def merged_mass_axioms(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
+    """``check_mass_axioms(mass_table(frame))``, judged on the half tables.
+
+    The merged mass of a family is lo[a] * hi[b] / den, and the 2^m products
+    lo[a] * hi[b] are the terms of Σlo * Σhi. When no factor is negative and
+    Σlo * Σhi = den, every mass is a non-negative term of a sum that equals
+    1, so it lies in [0, 1]. Only when that test fails are the masses
+    listed, so a failure reports the listing's own detail. The tables are
+    read through ``fusion``, where ``mass_table`` reads them."""
+    lo, hi, _, den = fusion._half_tables(frame)
+    if min(lo) >= 0 and min(hi) >= 0 and sum(lo) * sum(hi) == den:
+        return _ok("mass_axioms", total="1")
+    return check_mass_axioms(mass_table(frame))
 
 
 def check_bpa_axioms(values: Mapping[StateSet, Fraction]) -> CheckOutcome:
@@ -111,12 +137,13 @@ def check_belief_axioms(
     failures, and anything larger is exponential.
 
     ``evaluate`` is called once per distinct proposition the inequalities
-    name, and must return exact rationals (``Fraction`` or ``int``). The
-    inequalities are then compared as integer sums of numerators over the
-    lcm of those values' denominators, which is exact; a failure reports
-    both sides as reduced fractions. Combinations are tried in the order of
-    ``itertools.combinations``, smallest n first, so the first failing one
-    is reported.
+    name, in the order they are first named, and must return exact rationals
+    (``Fraction`` or ``int``). The inequalities are then compared as integer
+    sums of numerators over the lcm of those values' denominators, which is
+    exact; a failure reports both sides as reduced fractions. Combinations
+    are tried in the order of ``itertools.combinations``, smallest n first,
+    so the first failing one is reported. The terms depend only on the pool
+    and ``n_max``, so checks that share a pool build them once.
     """
     name = "belief_axioms"
     if pool is None:
@@ -130,12 +157,11 @@ def check_belief_axioms(
     if total != 1:
         return _fail(name, reason="belief in the full set not 1", value=str(total))
 
-    combos = _inclusion_exclusion_terms([s.bits for s in pool], n_max)
+    combos, named = _inclusion_exclusion_terms(tuple(s.bits for s in pool), n_max)
     values = {0: empty, full_bits: total}
-    for _, union, positive, negative in combos:
-        for bits in (union, *positive, *negative):
-            if bits not in values:
-                values[bits] = evaluate(StateSet(universe, bits))
+    for bits in named:
+        if bits not in values:
+            values[bits] = evaluate(StateSet(universe, bits))
     denominator = math.lcm(*(v.denominator for v in values.values()))
     numerator = {bits: v.numerator * (denominator // v.denominator)
                  for bits, v in values.items()}
@@ -154,16 +180,22 @@ def check_belief_axioms(
     return _ok(name)
 
 
+@lru_cache(maxsize=1)
 def _inclusion_exclusion_terms(
-    bits: Sequence[int], n_max: int
-) -> list[tuple[tuple[int, ...], int, list[int], list[int]]]:
+    bits: tuple[int, ...], n_max: int
+) -> tuple[list[tuple[tuple[int, ...], int, list[int], list[int]]], tuple[int, ...]]:
     """For every combination of 2..``n_max`` members of ``bits``, in the
     order of ``itertools.combinations`` by increasing size: its indices, its
     union, and the meets of its non-empty sub-combinations of odd and of even
-    size, the positive and negative terms of inclusion-exclusion.
+    size, the positive and negative terms of inclusion-exclusion. Second, the
+    distinct sets those terms name, each union before its meets, in the order
+    they are first named.
 
     Combinations of size n extend those of size n - 1 by one later member,
-    so each meet is one ``&`` of a meet already built.
+    so each meet is one ``&`` of a meet already built. The cache holds the
+    terms of one pool, which every ``belief_axioms`` line of
+    ``run_all_checks`` shares; its key and value are ints only, so it keeps
+    no frame alive. Callers share the cached lists and only read them.
     """
     level = [((k,), b, [b], []) for k, b in enumerate(bits)]
     terms = []
@@ -176,7 +208,9 @@ def _inclusion_exclusion_terms(
             for k, b in enumerate(bits[indices[-1] + 1:], indices[-1] + 1)
         ]
         terms += level
-    return terms
+    named = dict.fromkeys(b for _, union, positive, negative in terms
+                          for b in (union, *positive, *negative))
+    return terms, tuple(named)
 
 
 def check_allocation_definition(
@@ -301,7 +335,7 @@ def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     outcomes: list[CheckOutcome] = []
     document = frame_to_document(frame)
 
-    outcome = check_mass_axioms(mass_table(frame))
+    outcome = merged_mass_axioms(frame)
     outcomes.append(CheckOutcome("mass_axioms:merged", outcome.passed,
                                  outcome.detail, document))
 

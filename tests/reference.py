@@ -4,14 +4,15 @@ to."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from topobelief.core import StateSet, canonical_key
 from topobelief.errors import Violation
 from topobelief.evidence import EvidenceSubset, QuantitativeEvidenceFrame
-from topobelief.fusion import YAGER, allocate, allocated_mass_table
+from topobelief.fusion import YAGER, allocate, allocated_mass_table, mass_table
 from topobelief.topology import Topology, generate_topology, min_dense
-from topobelief.verify import CheckOutcome, _fail, _ok
+from topobelief.verify import CheckOutcome, _fail, _ok, check_mass_axioms
 
 
 def generate_topology_by_intersections(universe, subbasis) -> Topology:
@@ -71,6 +72,31 @@ def minimum_dense_open_by_listing(frame) -> CheckOutcome:
                 dense_open=list(o.members()),
             )
     return _ok(name, frame)
+
+
+def mass_axioms_by_fraction_sum(values) -> CheckOutcome:
+    """``verify.check_mass_axioms`` as a loop of ``Fraction`` comparisons
+    and one running ``Fraction`` total."""
+    name = "mass_axioms"
+    total = Fraction(0)
+    for key, value in values:
+        if not 0 <= value <= 1:
+            return _fail(name, key=repr(key), value=str(value),
+                         reason="value outside [0, 1]")
+        total += value
+    if total != 1:
+        return _fail(name, total=str(total), reason="values do not total 1")
+    return _ok(name, total=str(total))
+
+
+def merged_mass_axioms_by_listing(frame) -> CheckOutcome:
+    """``verify.merged_mass_axioms`` by listing all 2^m merged masses."""
+    return check_mass_axioms(mass_table(frame))
+
+
+def outcomes_json_by_dumps(outcomes) -> str:
+    """The ``verify --output json`` document, encoded in one piece."""
+    return json.dumps([o.to_json() for o in outcomes], indent=2, ensure_ascii=True)
 
 
 def validate_allocators_by_sweep(frame, allocators) -> list[Violation]:

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from reference import is_dense
+from reference import is_dense, outcomes_json_by_dumps
+from test_fusion import _wide_frame
 import topobelief.cli as cli
+import topobelief.verify as verify_module
 from topobelief.core import StateSet, make_universe
 from topobelief.demo import car_frame
 from topobelief.evidence import (
@@ -19,7 +21,8 @@ from topobelief.evidence import (
     serialize_frame,
 )
 from topobelief.topology import generate_topology
-from topobelief.verify import CheckOutcome, fixed_shape_frame, random_frame
+from topobelief.verify import (CheckOutcome, fixed_shape_frame, random_frame,
+                               run_all_checks)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -437,6 +440,76 @@ def test_verify_json_output(capsys, car_path):
     assert code == 0
     outcomes = json.loads(out)
     assert all(set(o) == {"check", "frame", "detail"} for o in outcomes)
+
+
+def _failing_outcome_lists(monkeypatch) -> list[list[CheckOutcome]]:
+    """``run_all_checks`` on ``car`` under the mutations of the checker tests."""
+    car = car_frame()
+    full = car.universe.full_set()
+    mutations = [
+        (verify_module, "belief_from_bpa", lambda m, p: Fraction(0)),
+        (verify_module, "topological_belief", lambda frame, p: True),
+        (verify_module, "min_dense", lambda sets: full),
+        (verify_module, "belief", lambda frame, a, j, p: Fraction(p.bits % 3, 2)),
+        (QuantitativeEvidenceFrame, "dense_bits", lambda self, bits: True),
+    ]
+    lists = []
+    for owner, name, mutant in mutations:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, mutant)
+            lists.append(run_all_checks(car))
+        assert not all(o.passed for o in lists[-1]), name
+    return lists
+
+
+def test_verify_json_is_the_one_piece_encoding(capsys, car_path, monkeypatch, tmp_path):
+    # verify encodes each distinct frame document once and splices it in;
+    # stdout stays byte-equal to encoding the whole outcome list at once
+    code, out, _ = run(capsys, "verify", "--frame", car_path, "--output", "json")
+    assert code == 0
+    assert out == outcomes_json_by_dumps(run_all_checks(car_frame())) + "\n"
+
+    doc = {"states": ["é", "日本", 'q"x', "d"],
+           "evidence": [{"name": "Ä1", "states": ["é", "日本"], "certainty": "1/3"},
+                        {"name": "E\\2", "states": ['q"x'], "certainty": "0.5"}]}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--frame", str(path), "--output", "json")
+    assert code == 0
+    assert "\\u00e9" in out
+    assert out == outcomes_json_by_dumps(run_all_checks(cli.load_frame(str(path)))) + "\n"
+
+    lists = [run_all_checks(random_frame(seed, 8, 6)) for seed in range(200)]
+    lists += _failing_outcome_lists(monkeypatch)
+    lists += [
+        [],
+        [CheckOutcome("broken", False, {"reason": "injected"}, None)],
+        # equal under ==, encoded differently: key order, True against 1
+        [CheckOutcome("a", True, {}, {"x": 1, "y": [1, 2]}),
+         CheckOutcome("b", False, {"n": True}, {"y": [1, 2], "x": 1}),
+         CheckOutcome("c", True, {}, {"x": True, "y": [1, 2]}),
+         CheckOutcome("d\n\"é", True, {"x": 1, "y": [1, 2]}, None)],
+    ]
+    for outcomes in lists:
+        monkeypatch.setattr(cli, "run_all_checks", lambda frame, o=outcomes: o)
+        code, out, _ = run(capsys, "verify", "--frame", car_path, "--output", "json")
+        assert code == (4 if any(not o.passed for o in outcomes) else 0)
+        assert out == outcomes_json_by_dumps(outcomes) + "\n"
+
+
+def test_verify_refuses_25_items_up_front(capsys, tmp_path):
+    # the merged masses are judged on the half tables, so the allocation
+    # laws are the first check to reach the cap, which they name by the
+    # family planes they would build
+    path = tmp_path / "wide25.json"
+    path.write_text(serialize_frame(_wide_frame(25)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--frame", str(path))
+    assert code == 3
+    assert time.perf_counter() - start < 2.0
+    assert err == ("error: 25 evidence items need 2^25-bit family planes; "
+                   "the cap is 24 items\n")
+    assert out == ""
 
 
 def test_verify_failure_exits_4(capsys, car_path, monkeypatch):

@@ -25,6 +25,7 @@ from topobelief.fusion import (
     belief,
     custom_allocator,
     justification_frame,
+    mass_table,
 )
 from topobelief.verify import (
     check_allocation_definition,
@@ -36,13 +37,18 @@ from topobelief.verify import (
     check_topological_equivalence,
     fixed_shape_frame,
     justified_bpa,
+    merged_mass_axioms,
     random_frame,
     run_all_checks,
 )
 import topobelief.fusion as fusion_module
 import topobelief.verify as verify_module
 import reference as reference_module
-from reference import minimum_dense_open_by_listing
+from reference import (
+    mass_axioms_by_fraction_sum,
+    merged_mass_axioms_by_listing,
+    minimum_dense_open_by_listing,
+)
 
 
 def _drc(frame):
@@ -123,12 +129,16 @@ def test_run_all_checks_builds_the_min_dense_planes_four_times(monkeypatch):
 
 def test_run_all_checks_builds_each_table_once(car):
     # the i, u and d image tables and one pair of half tables, all of which
-    # the lru caches hold for the whole run
+    # the lru caches hold for the whole run, and the inclusion-exclusion
+    # terms of the one pool that all six belief-axiom lines share
     fusion_module._image_numerators.cache_clear()
     fusion_module._half_tables.cache_clear()
+    verify_module._inclusion_exclusion_terms.cache_clear()
     run_all_checks(car)
     assert fusion_module._image_numerators.cache_info().misses == 3
     assert fusion_module._half_tables.cache_info().misses == 1
+    terms = verify_module._inclusion_exclusion_terms.cache_info()
+    assert (terms.misses, terms.hits) == (1, 5)
 
 
 def test_outcome_json_shape(car):
@@ -143,8 +153,6 @@ def test_outcome_json_shape(car):
 # -- mutation meta-tests: corrupting one value must flip the matching checker ----
 
 def test_mass_checker_detects_corruption(car):
-    from topobelief.fusion import mass_table
-
     values = dict(mass_table(car))
     key = next(iter(values))
     values[key] += Fraction(1, 1000)
@@ -156,6 +164,105 @@ def test_mass_checker_detects_corruption(car):
 def test_mass_checker_detects_out_of_range():
     outcome = check_mass_axioms([("x", Fraction(3, 2)), ("y", Fraction(-1, 2))])
     assert not outcome.passed
+
+
+# -- the mass checks: integer sums against the Fraction loop, half tables
+# -- against the listing of all 2^m merged masses
+
+def test_mass_axioms_equal_the_fraction_reference(car):
+    frames = [car] + [random_frame(seed, 8, 6) for seed in range(60)]
+    cases = [list(mass_table(frame)) for frame in frames]
+    for frame in frames[:20]:
+        for kind in ("ds", "sd"):
+            jf = justification_frame(frame, kind)
+            cases += [list(justified_bpa(frame, alloc, jf).items())
+                      for alloc in (INTERSECTION, UNION, MIN_DENSE)]
+    third = Fraction(1, 3)
+    cases += [
+        [("x", Fraction(1, 2)), ("y", Fraction(-1, 3)), ("z", Fraction(5, 6))],
+        [("x", third), ("y", Fraction(4, 3)), ("z", -third)],
+        [("x", Fraction(3, 2)), ("y", Fraction(-1, 2))],
+        [("x", third), ("y", third)],
+        [("x", Fraction(2, 3)), ("y", Fraction(2, 3))],
+        [("x", Fraction(0)), ("y", Fraction(1))],
+        [],
+        [("x", 1)],
+        [("x", 0), ("y", 1), ("z", 0)],
+        [("x", 1), ("y", 1)],
+        [("x", 0)],
+        [("x", 2)],
+        [("x", -1), ("y", 2)],
+        [("x", third), ("y", 0), ("z", Fraction(2, 3))],
+    ]
+    perturbed = list(mass_table(car))
+    key, value = perturbed[3]
+    perturbed[3] = (key, value + Fraction(1, 1000))
+    cases.append(perturbed)
+    verdicts = set()
+    for case in cases:
+        # one pass over each input, as over a generator
+        expected = mass_axioms_by_fraction_sum(iter(case))
+        assert check_mass_axioms(iter(case)) == expected, case
+        verdicts.add(expected.detail.get("reason"))
+    assert verdicts == {None, "value outside [0, 1]", "values do not total 1"}
+
+
+def test_merged_masses_equal_the_listing(car):
+    frames = [car] + [random_frame(seed, 8, 6) for seed in range(500)]
+    frames += [fixed_shape_frame(7, 16, m) for m in range(12, 17)]
+    for frame in frames:
+        assert merged_mass_axioms(frame) == merged_mass_axioms_by_listing(frame), frame
+
+
+@pytest.mark.parametrize("perturb, reason", [
+    (lambda lo, hi, den: (lo, hi[:-1] + [hi[-1] + 1]), "values do not total 1"),
+    (lambda lo, hi, den: (lo, [-hi[0]] + hi[1:]), "value outside [0, 1]"),
+    (lambda lo, hi, den: (lo, hi[:-1] + [2 * den]), "value outside [0, 1]"),
+    # the totals stay, one factor turns negative
+    (lambda lo, hi, den: (lo, [-1, hi[1] + hi[0] + 1, *hi[2:]]), "value outside [0, 1]"),
+    (lambda lo, hi, den: ([-1, lo[1] + lo[0] + 1, *lo[2:]], hi), "value outside [0, 1]"),
+    # every product keeps its sign, so the listing passes where the
+    # half-table test does not
+    (lambda lo, hi, den: ([-w for w in lo], [-w for w in hi]), None),
+], ids=["total", "negative", "above_one", "shifted_hi", "shifted_lo",
+        "both_negated"])
+def test_a_perturbed_half_table_reports_the_listings_outcome(car, monkeypatch, perturb,
+                                                             reason):
+    # the tables are patched in fusion, where both run_all_checks and the
+    # listing read them; two items or more give each half table two entries
+    half_tables = fusion_module._half_tables
+
+    def perturbed(frame):
+        lo, hi, half, den = half_tables(frame)
+        return (*perturb(list(lo), list(hi), den), half, den)
+
+    monkeypatch.setattr(fusion_module, "_half_tables", perturbed)
+    frames = [car] + [random_frame(seed, 8, 6) for seed in range(60)]
+    for frame in [f for f in frames if f.arity >= 2]:
+        expected = merged_mass_axioms_by_listing(frame)
+        line = run_all_checks(frame)[0]
+        assert line.check == "mass_axioms:merged"
+        assert (line.passed, line.detail) == (expected.passed, expected.detail), frame
+        assert expected.detail.get("reason") == reason, frame
+
+
+def test_run_all_checks_lists_no_merged_masses(car, monkeypatch):
+    def listing(frame):
+        raise AssertionError("mass_table called")
+
+    monkeypatch.setattr(verify_module, "mass_table", listing)
+    for frame in [car] + [random_frame(seed, 8, 6) for seed in range(20)]:
+        assert all(o.passed for o in run_all_checks(frame))
+
+
+def test_merged_masses_are_bounded_at_20_items():
+    # listing the 2^20 merged masses took about 8 s and 320 MB on a 2-vCPU
+    # Xeon; the half tables hold 2^10 numerators each
+    frame = fixed_shape_frame(7, 16, 20)
+    start = time.perf_counter()
+    outcome = merged_mass_axioms(frame)
+    assert time.perf_counter() - start < 1.0
+    assert outcome.passed and outcome.detail == {"total": "1"}
 
 
 def test_bpa_checker_detects_empty_set_mass(car):
@@ -518,6 +625,24 @@ def test_belief_axioms_equal_the_fraction_reference(car):
                             assert set(calls) == set(ref_calls), case
                         failed += not expected.passed
     assert failed > 100  # the bumps reach every failure branch often
+
+
+def test_belief_axioms_evaluate_in_the_order_the_terms_name(car):
+    # the order of a loop over every set of every term, each set once
+    terms = verify_module._inclusion_exclusion_terms.__wrapped__
+    for frame in [car] + [random_frame(seed, 8, 6) for seed in range(50)]:
+        universe = frame.universe
+        pool = _checks_pool(frame)
+        combos, _ = terms(tuple(s.bits for s in pool), 3)
+        expected = {0: None, universe.full_bits: None}
+        for _, union, positive, negative in combos:
+            expected.update(dict.fromkeys((union, *positive, *negative)))
+        jf = justification_frame(frame, "ds")
+        calls = []
+        outcome = check_belief_axioms(
+            lambda p: calls.append(p.bits) or belief(frame, UNION, jf, p), universe, 3, pool)
+        assert outcome.passed
+        assert calls == list(expected), frame
 
 
 def test_belief_axioms_mutation_fails_the_same_checks_lines(monkeypatch):
