@@ -136,6 +136,20 @@ def mass_table(frame: QuantitativeEvidenceFrame) -> list[tuple[EvidenceSubset, F
     ]
 
 
+def merged_masses_valid(frame: QuantitativeEvidenceFrame) -> bool:
+    """Whether ``mass_table(frame)`` is a mass function, judged on the half
+    tables under the same cap.
+
+    The merged mass of a family is lo[a] * hi[b] / den, and the 2^m products
+    lo[a] * hi[b] are the terms of Σlo * Σhi. When no factor is negative and
+    Σlo * Σhi = den, every mass is a non-negative term of a sum that equals
+    1, so it lies in [0, 1]. A ``False`` says only that the test failed:
+    the listing then decides."""
+    _check_capacity(frame, _SUBSETS)
+    lo, hi, _, den = _half_tables(frame)
+    return min(lo) >= 0 and min(hi) >= 0 and sum(lo) * sum(hi) == den
+
+
 # -- bridging layer: allocation ----------------------------------------------
 
 class AllocatorKind(enum.Enum):

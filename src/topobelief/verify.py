@@ -3,10 +3,11 @@
 Checkers return data, never raise: a failing ``CheckOutcome`` carries a
 self-contained witness (frame document plus the offending sets and values)
 that can be replayed through the CLI. Capacity refusals are not outcomes:
-past the item cap the pipeline raises ``CapacityExceeded`` through the
-checkers, first in ``check_allocation_definition``, whose allocation laws
-need the 2^m-bit family planes. No checker lists the topology, nor the 2^m
-merged masses unless they fail their test on the half tables.
+past the item cap the pipeline raises ``CapacityExceeded``. ``run_all_checks``
+refuses such a frame before its first check, naming the 2^m-bit family
+planes that its allocation laws need; the checkers called alone refuse it
+themselves. No checker lists the topology, nor the 2^m merged masses unless
+they fail their test on the half tables.
 
 The two equivalence checks quantify over every proposition P but visit only
 the empty set and the sets that generate their two sides, in ascending order.
@@ -31,8 +32,9 @@ from .evidence import (
     QuantitativeEvidenceFrame,
     frame_to_document,
 )
-from . import fusion
 from .fusion import (
+    _PLANES,
+    _check_capacity,
     Allocator,
     INTERSECTION,
     JustificationFrame,
@@ -43,6 +45,7 @@ from .fusion import (
     belief,
     justification_frame,
     mass_table,
+    merged_masses_valid,
     normalization_factor,
     validate_allocators,
 )
@@ -97,16 +100,10 @@ def check_mass_axioms(values: Iterable[tuple[object, Fraction]]) -> CheckOutcome
 
 
 def merged_mass_axioms(frame: QuantitativeEvidenceFrame) -> CheckOutcome:
-    """``check_mass_axioms(mass_table(frame))``, judged on the half tables.
-
-    The merged mass of a family is lo[a] * hi[b] / den, and the 2^m products
-    lo[a] * hi[b] are the terms of Σlo * Σhi. When no factor is negative and
-    Σlo * Σhi = den, every mass is a non-negative term of a sum that equals
-    1, so it lies in [0, 1]. Only when that test fails are the masses
-    listed, so a failure reports the listing's own detail. The tables are
-    read through ``fusion``, where ``mass_table`` reads them."""
-    lo, hi, _, den = fusion._half_tables(frame)
-    if min(lo) >= 0 and min(hi) >= 0 and sum(lo) * sum(hi) == den:
+    """``check_mass_axioms(mass_table(frame))``, judged on the half tables
+    by ``merged_masses_valid``. Only when that test fails are the masses
+    listed, so a failure reports the listing's own detail."""
+    if merged_masses_valid(frame):
         return _ok("mass_axioms", total="1")
     return check_mass_axioms(mass_table(frame))
 
@@ -183,7 +180,8 @@ def check_belief_axioms(
 @lru_cache(maxsize=1)
 def _inclusion_exclusion_terms(
     bits: tuple[int, ...], n_max: int
-) -> tuple[list[tuple[tuple[int, ...], int, list[int], list[int]]], tuple[int, ...]]:
+) -> tuple[tuple[tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]], ...],
+           tuple[int, ...]]:
     """For every combination of 2..``n_max`` members of ``bits``, in the
     order of ``itertools.combinations`` by increasing size: its indices, its
     union, and the meets of its non-empty sub-combinations of odd and of even
@@ -195,22 +193,23 @@ def _inclusion_exclusion_terms(
     so each meet is one ``&`` of a meet already built. The cache holds the
     terms of one pool, which every ``belief_axioms`` line of
     ``run_all_checks`` shares; its key and value are ints only, so it keeps
-    no frame alive. Callers share the cached lists and only read them.
+    no frame alive. Every part is a tuple, so no caller can change what the
+    others read.
     """
-    level = [((k,), b, [b], []) for k, b in enumerate(bits)]
+    level = [((k,), b, (b,), ()) for k, b in enumerate(bits)]
     terms = []
     for _ in range(2, n_max + 1):
         level = [
             ((*indices, k), union | b,
-             [*positive, b, *[m & b for m in negative]],
-             [*negative, *[m & b for m in positive]])
+             (*positive, b, *[m & b for m in negative]),
+             (*negative, *[m & b for m in positive]))
             for indices, union, positive, negative in level
             for k, b in enumerate(bits[indices[-1] + 1:], indices[-1] + 1)
         ]
         terms += level
     named = dict.fromkeys(b for _, union, positive, negative in terms
                           for b in (union, *positive, *negative))
-    return terms, tuple(named)
+    return tuple(terms), tuple(named)
 
 
 def check_allocation_definition(
@@ -332,6 +331,7 @@ def justified_bpa(
 def run_all_checks(frame: QuantitativeEvidenceFrame) -> list[CheckOutcome]:
     """Every checker against one frame; outcome names carry the combination
     checked, so CI output stays one stable line per check."""
+    _check_capacity(frame, _PLANES)
     outcomes: list[CheckOutcome] = []
     document = frame_to_document(frame)
 

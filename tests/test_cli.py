@@ -497,17 +497,18 @@ def test_verify_json_is_the_one_piece_encoding(capsys, car_path, monkeypatch, tm
         assert out == outcomes_json_by_dumps(outcomes) + "\n"
 
 
-def test_verify_refuses_25_items_up_front(capsys, tmp_path):
-    # the merged masses are judged on the half tables, so the allocation
-    # laws are the first check to reach the cap, which they name by the
-    # family planes they would build
-    path = tmp_path / "wide25.json"
-    path.write_text(serialize_frame(_wide_frame(25)), encoding="utf-8")
+@pytest.mark.parametrize("m", [25, 60])
+def test_verify_refuses_items_past_the_cap_up_front(capsys, tmp_path, m):
+    # run_all_checks refuses the frame before its first check, by the family
+    # planes its allocation laws would build; at 60 items the merged-mass
+    # check alone would build two half tables of 2^30 numerators
+    path = tmp_path / f"wide{m}.json"
+    path.write_text(serialize_frame(_wide_frame(m)), encoding="utf-8")
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--frame", str(path))
     assert code == 3
     assert time.perf_counter() - start < 2.0
-    assert err == ("error: 25 evidence items need 2^25-bit family planes; "
+    assert err == (f"error: {m} evidence items need 2^{m}-bit family planes; "
                    "the cap is 24 items\n")
     assert out == ""
 

@@ -16,6 +16,7 @@ from topobelief.evidence import (
     QuantitativeEvidenceFrame,
     parse_frame,
 )
+from topobelief.errors import CapacityExceeded
 from topobelief.fusion import (
     INTERSECTION,
     MIN_DENSE,
@@ -44,6 +45,7 @@ from topobelief.verify import (
 import topobelief.fusion as fusion_module
 import topobelief.verify as verify_module
 import reference as reference_module
+from test_fusion import _wide_frame
 from reference import (
     mass_axioms_by_fraction_sum,
     merged_mass_axioms_by_listing,
@@ -263,6 +265,16 @@ def test_merged_masses_are_bounded_at_20_items():
     outcome = merged_mass_axioms(frame)
     assert time.perf_counter() - start < 1.0
     assert outcome.passed and outcome.detail == {"total": "1"}
+
+
+def test_merged_masses_are_refused_past_the_cap_before_the_half_tables():
+    # two half tables of 2^30 numerators each at 60 items
+    fusion_module._half_tables.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match="need 2\\^60 subset evaluations"):
+        merged_mass_axioms(_wide_frame(60))
+    assert time.perf_counter() - start < 1.0
+    assert fusion_module._half_tables.cache_info().currsize == 0
 
 
 def test_bpa_checker_detects_empty_set_mass(car):
@@ -643,6 +655,14 @@ def test_belief_axioms_evaluate_in_the_order_the_terms_name(car):
             lambda p: calls.append(p.bits) or belief(frame, UNION, jf, p), universe, 3, pool)
         assert outcome.passed
         assert calls == list(expected), frame
+
+
+def test_shared_terms_cannot_be_changed(car):
+    # every belief_axioms line reads the one cached value
+    pool = tuple(s.bits for s in _checks_pool(car))
+    combos, named = verify_module._inclusion_exclusion_terms(pool, 3)
+    assert type(combos) is tuple and type(named) is tuple
+    assert all(type(part) in (tuple, int) for combo in combos for part in combo)
 
 
 def test_belief_axioms_mutation_fails_the_same_checks_lines(monkeypatch):
